@@ -14,17 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poisson import LARGE
+from .poisson import LARGE, _sat_exp
 
 SIDES = ("max", "min")
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _sat_exp(log_value):
-    if log_value >= math.log(LARGE):
-        return LARGE
-    return math.exp(log_value)
 
 
 def is_vacuous(bound: float) -> bool:

@@ -56,6 +56,15 @@ class MatrixSample:
     trial_index: int
 
 
+def entry_scale(m: int) -> float:
+    """Magnitude scale 1/sqrt(m) of the entries of an m-row matrix.
+
+    Bernoulli entries are exactly +-entry_scale(m); the kernels read a matrix
+    whose entries all have this magnitude as an exact +-1/sqrt(m) lattice.
+    """
+    return 1.0 / math.sqrt(m)
+
+
 def _raw_stream(base_seed, trial_index, size):
     """Raw uint64 Philox words for one (base_seed, trial_index) stream."""
     key = np.array([base_seed, trial_index], dtype=np.uint64)
@@ -77,7 +86,7 @@ def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
     if not 0 <= trial_index <= _U64_MAX:
         raise ValueError("trial_index must fit in an unsigned 64-bit integer")
     raw = _raw_stream(spec.base_seed, trial_index, spec.m * spec.n)
-    scale = 1.0 / math.sqrt(spec.m)
+    scale = entry_scale(spec.m)
     if spec.family == "gaussian":
         entries = _gaussian_from_raw(raw) * scale
     else:
@@ -98,7 +107,7 @@ def sample_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     raws = np.empty((count, size), dtype=np.uint64)
     for i in range(count):
         raws[i] = _raw_stream(spec.base_seed, start + i, size)
-    scale = 1.0 / math.sqrt(spec.m)
+    scale = entry_scale(spec.m)
     if spec.family == "gaussian":
         entries = _gaussian_from_raw(raws) * scale
     else:

@@ -1,7 +1,13 @@
-"""Subset kernels evaluated on m x k column submatrices.
+"""Subset kernels, all read from Gram matrices.
 
-A kernel is a column-permutation-invariant function of a submatrix.  Four
-variants are supported:
+A kernel is a column-permutation-invariant function of an m x k column
+submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A:
+``gram_stack`` builds one n x n Gram per matrix, the eigen kernels take the
+extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``), and the
+coherence kernel reads |G_ij| / sqrt(G_ii G_jj) (``gram_coherence``).  The
+single-submatrix functions are thin wrappers over the same primitives.
+
+Four variants are supported:
 
 - ``ric``:              max(sigma2_max - 1, 1 - sigma2_min), the restricted-
                         isometry kernel (its max over subsets is the RIC for
@@ -14,6 +20,14 @@ variants are supported:
                         (k = 2 only)
 
 Indicators are strict: 1{value > a}, ties resolved as 0.
+
+Exact lattice: a matrix whose entries all have magnitude
+``ensembles.entry_scale(m)`` (the Bernoulli ensemble) is read as the exact
++-1/sqrt(m) matrix.  Its Gram is built from the signs S as (S^T S) / m; the
++-1 products and their sums are exact in float64, so every Gram entry is the
+correctly rounded lattice value j/m, every diagonal entry is exactly 1, and
+the coherence of a pair is exactly fl(|j|/m).  A threshold a = j/m is then a
+true tie and resolves as 0.
 """
 
 from __future__ import annotations
@@ -21,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ensembles import entry_scale
 
 VARIANTS = ("ric", "sigma_max_sq", "neg_sigma_min_sq", "coherence")
 
@@ -45,6 +61,8 @@ SIGMA_MAX_SQ = KernelId("sigma_max_sq")
 NEG_SIGMA_MIN_SQ = KernelId("neg_sigma_min_sq")
 COHERENCE = KernelId("coherence")
 
+_FIRST_PAIR = np.array([[0, 1]])
+
 
 def _checked(a_sub):
     a = np.asarray(a_sub, dtype=np.float64)
@@ -55,11 +73,30 @@ def _checked(a_sub):
     return a
 
 
-def gram_extremes(grams: np.ndarray):
+def gram_stack(mats: np.ndarray) -> np.ndarray:
+    """Gram matrices A^T A of a (B, m, n) stack of matrices; shape (B, n, n).
+
+    A stack whose entries all have magnitude entry_scale(m) gets the exact
+    lattice Gram (S^T S) / m built from its signs S (see the module notes).
+    """
+    m = mats.shape[-2]
+    scale = entry_scale(m)
+    # the scalar test rejects Gaussian stacks without a pass over the array
+    if abs(mats.flat[0]) == scale and np.all(np.abs(mats) == scale):
+        signs = np.sign(mats)
+        grams = np.matmul(np.swapaxes(signs, -1, -2), signs)
+        grams /= m
+        return grams
+    return np.einsum("bmi,bmj->bij", mats, mats)
+
+
+def gram_extremes(grams: np.ndarray, rows=None):
     """(min, max) eigenvalues of a stack of symmetric PSD Gram matrices.
 
     Uses the closed-form 2x2 solution when k <= 2, symmetric eigendecomposition
-    otherwise.  Round-off below zero is clamped at 0.
+    otherwise.  Round-off below zero is clamped at 0.  ``rows`` is the row
+    count m of the matrices the k x k Grams come from: when k > m the minimum
+    is exactly 0 by rank deficiency, whatever the round-off.
     """
     g = np.asarray(grams, dtype=np.float64)
     k = g.shape[-1]
@@ -70,30 +107,52 @@ def gram_extremes(grams: np.ndarray):
         gii, gjj, gij = g[..., 0, 0], g[..., 1, 1], g[..., 0, 1]
         half_tr = 0.5 * (gii + gjj)
         half_disc = 0.5 * np.sqrt((gii - gjj) ** 2 + 4.0 * gij**2)
-        return np.maximum(half_tr - half_disc, 0.0), np.maximum(half_tr + half_disc, 0.0)
-    w = np.linalg.eigvalsh(g)
-    return np.maximum(w[..., 0], 0.0), np.maximum(w[..., -1], 0.0)
+        smin, smax = np.maximum(half_tr - half_disc, 0.0), np.maximum(half_tr + half_disc, 0.0)
+    else:
+        w = np.linalg.eigvalsh(g)
+        smin, smax = np.maximum(w[..., 0], 0.0), np.maximum(w[..., -1], 0.0)
+    if rows is not None and k > rows:
+        smin = np.zeros_like(smin)
+    return smin, smax
+
+
+def gram_coherence(grams: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Coherence |G_ij| / sqrt(G_ii G_jj), clipped at 1, of listed column pairs.
+
+    grams: (B, n, n) from gram_stack; pairs: (P, 2) int array -> (B, P).
+    Memory is O(B (n^2 + P)); no column is gathered.
+    """
+    if pairs.shape[1] != 2:
+        raise ValueError("coherence kernel requires k = 2")
+    diag = np.diagonal(grams, axis1=-2, axis2=-1)
+    if np.any(diag == 0.0):
+        raise ValueError("degenerate input: coherence kernel needs nonzero columns")
+    i, j = pairs[:, 0], pairs[:, 1]
+    values = np.abs(grams[:, i, j])
+    norms = diag[:, i] * diag[:, j]
+    values /= np.sqrt(norms, out=norms)
+    return np.minimum(values, 1.0, out=values)
+
+
+def spectral_value(kernel: KernelId, smin, smax):
+    """Eigen-kernel value from the squared singular extremes of a subset."""
+    if kernel.variant == "sigma_max_sq":
+        return smax
+    if kernel.variant == "neg_sigma_min_sq":
+        return -smin
+    return np.maximum(smax - 1.0, 1.0 - smin)
 
 
 def squared_singular_extremes(a_sub) -> tuple[float, float]:
-    """(sigma2_min, sigma2_max) of a submatrix.
-
-    Works on the smaller of the two Gram matrices; for k > m the minimum
-    squared singular value is 0 by rank deficiency.
-    """
+    """(sigma2_min, sigma2_max) of a submatrix; sigma2_min is 0 when k > m."""
     a = _checked(a_sub)
-    m, k = a.shape
-    if k <= m:
-        smin, smax = gram_extremes(a.T @ a)
-        return float(smin), float(smax)
-    _, smax = gram_extremes(a @ a.T)
-    return 0.0, float(smax)
+    smin, smax = gram_extremes(gram_stack(a[None]), rows=a.shape[0])
+    return float(smin[0]), float(smax[0])
 
 
 def ric_kernel(a_sub) -> float:
     """Restricted-isometry kernel max(sigma2_max - 1, 1 - sigma2_min); always >= 0."""
-    smin, smax = squared_singular_extremes(a_sub)
-    return max(smax - 1.0, 1.0 - smin)
+    return kernel_value(RIC, a_sub)
 
 
 def coherence_kernel(a_sub) -> float:
@@ -101,23 +160,14 @@ def coherence_kernel(a_sub) -> float:
     a = _checked(a_sub)
     if a.shape[1] != 2:
         raise ValueError("coherence kernel requires exactly 2 columns")
-    n1 = float(np.linalg.norm(a[:, 0]))
-    n2 = float(np.linalg.norm(a[:, 1]))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("degenerate input: coherence kernel needs nonzero columns")
-    return min(abs(float(a[:, 0] @ a[:, 1])) / (n1 * n2), 1.0)
+    return float(gram_coherence(gram_stack(a[None]), _FIRST_PAIR)[0, 0])
 
 
 def kernel_value(kernel: KernelId, a_sub) -> float:
     """Evaluate one kernel variant on one submatrix."""
-    if kernel.variant == "coherence":
+    if kernel.needs_pair:
         return coherence_kernel(a_sub)
-    if kernel.variant == "ric":
-        return ric_kernel(a_sub)
-    smin, smax = squared_singular_extremes(a_sub)
-    if kernel.variant == "sigma_max_sq":
-        return smax
-    return -smin
+    return float(spectral_value(kernel, *squared_singular_extremes(a_sub)))
 
 
 def indicator(kernel: KernelId, a_sub, a: float) -> int:

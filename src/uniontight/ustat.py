@@ -6,6 +6,13 @@ max-over-subsets statistic stays at or below the threshold.  Enumeration is
 lexicographic and refused (never silently approximated) above a configurable
 cap.
 
+Kernels are evaluated Gram-first: each matrix gets one Gram
+(``kernels.gram_stack``) over the columns the subsets use, all n of them when
+every subset is enumerated, and every subset's value is read from it, as a
+k x k block for the eigen kernels and as one entry plus two diagonal entries
+for coherence.  For +-1/sqrt(m) matrices the Gram is the exact lattice one, so
+values sit exactly on j/m and ties at a = j/m resolve as 0.
+
 Monte-Carlo estimators share one kernel evaluation per trial across the whole
 threshold grid, so estimated tail curves are monotone by construction, and
 accumulate integer counts over fixed-size trial chunks, so results are
@@ -15,6 +22,7 @@ invariant to the degree of parallelism.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, sqrt
@@ -22,7 +30,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .ensembles import EnsembleSpec, sample_batch
-from .kernels import KernelId, gram_extremes
+from .kernels import KernelId, gram_coherence, gram_extremes, gram_stack, spectral_value
 
 DEFAULT_SUBSET_CAP = 1_000_000
 
@@ -107,39 +115,33 @@ def lex_rank(subset, n: int) -> int:
     return rank
 
 
-def _batch_values(mats, kernel: KernelId, subs):
-    """Kernel values for a batch of matrices over an array of subsets.
+def _batch_values(grams, kernel: KernelId, subs, rows):
+    """Kernel values over an array of subsets, read from Gram matrices.
 
-    mats: (B, m, n); subs: (N, k) int array -> (B, N) float array.
+    grams: (B, c, c) from gram_stack; subs: (N, k) int array of indices into
+    its c columns; rows: the row count m of the matrices -> (B, N) array.
     """
-    B, m, n = mats.shape
-    N, k = subs.shape
-    if kernel.variant == "coherence":
-        if k != 2:
-            raise ValueError("coherence kernel requires k = 2")
-        norms = np.linalg.norm(mats, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("degenerate input: coherence kernel needs nonzero columns")
-        i, j = subs[:, 0], subs[:, 1]
-        inner = np.einsum("bmi,bmi->bi", mats[:, :, i], mats[:, :, j])
-        return np.minimum(np.abs(inner) / (norms[:, i] * norms[:, j]), 1.0)
+    if kernel.needs_pair:
+        return gram_coherence(grams, subs)
+    smin, smax = gram_extremes(grams[:, subs[:, :, None], subs[:, None, :]], rows=rows)
+    return spectral_value(kernel, smin, smax)
 
-    if N <= 8:
-        grams = np.empty((B, N, k, k))
-        for idx in range(N):
-            a = mats[:, :, subs[idx]]
-            grams[:, idx] = np.einsum("bmi,bmj->bij", a, a)
-    else:
-        gram_full = np.einsum("bmi,bmj->bij", mats, mats)
-        grams = gram_full[:, subs[:, :, None], subs[:, None, :]]
-    smin, smax = gram_extremes(grams)
-    if k > m:
-        smin = np.zeros_like(smin)  # rank deficiency; eigvalsh round-off only
-    if kernel.variant == "sigma_max_sq":
-        return smax
-    if kernel.variant == "neg_sigma_min_sq":
-        return -smin
-    return np.maximum(smax - 1.0, 1.0 - smin)
+
+def _chunk_values(spec, kernel: KernelId, subs, start, stop, cols=slice(None)):
+    """Kernel values of the trials [start, stop) over an array of subsets.
+
+    Only the Gram of the columns ``cols`` is built; ``subs`` indexes into them.
+    """
+    # one expression, so the sampled stack is freed once its Gram is built
+    grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
+    return _batch_values(grams, kernel, subs, spec.m)
+
+
+def _fixed_subsets(subsets_list):
+    """(columns used, subsets renumbered into them) for a few fixed subsets."""
+    subs = np.asarray(subsets_list, dtype=np.int64)
+    cols = np.unique(subs)
+    return cols, np.searchsorted(cols, subs)
 
 
 def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
@@ -147,12 +149,13 @@ def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
     phi = np.asarray(phi, dtype=np.float64)
     if not np.all(np.isfinite(phi)):
         raise ValueError("matrix contains non-finite entries")
-    n = phi.shape[1]
+    m, n = phi.shape
     subs = _subsets_array(n, k, cap)
+    grams = gram_stack(phi[None])
     out = np.empty(len(subs))
     for start in range(0, len(subs), _SUBSET_BLOCK):
         block = subs[start : start + _SUBSET_BLOCK]
-        out[start : start + len(block)] = _batch_values(phi[None], kernel, block)[0]
+        out[start : start + len(block)] = _batch_values(grams, kernel, block, m)[0]
     return out
 
 
@@ -191,8 +194,9 @@ def _estimates(grid, counts, trials):
 def _accumulate_counts(trials, threads, chunk_counts):
     """Sum integer count vectors over fixed-size trial chunks (order-independent)."""
     spans = [(s, min(s + _TRIAL_CHUNK, trials)) for s in range(0, trials, _TRIAL_CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda span: chunk_counts(*span), spans))
     else:
         parts = [chunk_counts(*span) for span in spans]
@@ -228,10 +232,10 @@ def mc_marginal_tail(
     if len(subset) != k or not all(0 <= i < spec.n for i in subset):
         raise ValueError("subset must hold k distinct column indices in range")
     grid = np.asarray(a_grid, dtype=np.float64)
-    subs = np.asarray([subset], dtype=np.int64)
+    cols, subs = _fixed_subsets([subset])
 
     def chunk_counts(start, stop):
-        vals = _batch_values(sample_batch(spec, start, stop), kernel, subs)[:, 0]
+        vals = _chunk_values(spec, kernel, subs, start, stop, cols)[:, 0]
         return np.count_nonzero(vals[:, None] > grid[None, :], axis=0)
 
     counts = _accumulate_counts(trials, threads, chunk_counts)
@@ -251,10 +255,10 @@ def mc_joint_tail(
     _check_mc_args(spec, kernel, k, trials)
     pair = canonical_pair(k, overlap, spec.n)
     grid = np.asarray(a_grid, dtype=np.float64)
-    subs = np.asarray([pair.first, pair.second], dtype=np.int64)
+    cols, subs = _fixed_subsets([pair.first, pair.second])
 
     def chunk_counts(start, stop):
-        vals = _batch_values(sample_batch(spec, start, stop), kernel, subs)
+        vals = _chunk_values(spec, kernel, subs, start, stop, cols)
         both = (vals[:, 0, None] > grid[None, :]) & (vals[:, 1, None] > grid[None, :])
         return np.count_nonzero(both, axis=0)
 
@@ -277,7 +281,7 @@ def mc_extreme_tail(
     subs = _subsets_array(spec.n, k, cap)
 
     def chunk_counts(start, stop):
-        vals = _batch_values(sample_batch(spec, start, stop), kernel, subs).max(axis=1)
+        vals = _chunk_values(spec, kernel, subs, start, stop).max(axis=1)
         return np.count_nonzero(vals[:, None] > grid[None, :], axis=0)
 
     counts = _accumulate_counts(trials, threads, chunk_counts)
@@ -323,7 +327,7 @@ def extreme_experiment(
     G = len(grid)
 
     def chunk_counts(start, stop):
-        vals = _batch_values(sample_batch(spec, start, stop), kernel, subs)
+        vals = _chunk_values(spec, kernel, subs, start, stop)
         exceed = vals[:, ranks, None] > grid[None, None, :]
         rows = [np.count_nonzero(vals.max(axis=1)[:, None] > grid[None, :], axis=0)]
         rows.append(np.count_nonzero(exceed[:, 0], axis=0))

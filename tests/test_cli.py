@@ -2,9 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from uniontight import checks
+from uniontight.ensembles import EnsembleSpec, sample_batch
 from uniontight.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -314,3 +316,25 @@ def test_stdout_output(capsys):
     )
     out = capsys.readouterr().out
     assert out.startswith("k,a,side,")
+
+
+def test_fig_extreme_bernoulli_tie_at_one(tmp_path):
+    # sigma2_max of two +-1/sqrt(m) columns is 1 + |<s_0, s_1>| / m, so it
+    # exceeds a = 1 exactly when the integer inner product is nonzero
+    trials = 600
+    for m in (6, 50):
+        out = tmp_path / f"bernoulli_{m}.csv"
+        code = _run(
+            [
+                "fig-extreme", "--ensemble", "bernoulli", "--m", str(m), "--n", "4",
+                "--k", "2", "--trials", str(trials), "--a-steps", "3",
+                "--seed", "3", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        header, rows = _read_csv(out)
+        assert float(rows[0][0]) == 1.0
+        signs = np.sign(sample_batch(EnsembleSpec("bernoulli", m, 4, 3), 0, trials))
+        inner = np.einsum("bm,bm->b", signs[:, :, 0], signs[:, :, 1])
+        p_hat = float(rows[0][header.index("p_hat")])
+        assert p_hat == np.count_nonzero(inner) / trials

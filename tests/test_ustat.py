@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from uniontight.ensembles import EnsembleSpec, sample_matrix
+from uniontight import ustat
+from uniontight.ensembles import EnsembleSpec, sample_batch, sample_matrix
 from uniontight.kernels import COHERENCE, RIC, SIGMA_MAX_SQ, ric_kernel
 from uniontight.ustat import (
     EnumerationInfeasibleError,
@@ -17,6 +19,7 @@ from uniontight.ustat import (
     mc_joint_tail,
     mc_marginal_tail,
     subset_count,
+    subset_values,
     subsets,
     u_statistic,
 )
@@ -226,3 +229,92 @@ def test_mc_argument_validation():
 
 def test_subset_count_helper():
     assert subset_count(25, 2) == 300
+
+
+def _exact_pair_products(phi):
+    """|<s_i, s_j>| over column pairs i < j (lexicographic) of a +-1/sqrt(m) matrix."""
+    signs = np.sign(phi).astype(np.int64)
+    rows, cols = np.triu_indices(phi.shape[1], k=1)
+    return np.abs(signs.T @ signs)[rows, cols]
+
+
+def test_gaussian_coherence_matches_pairwise_loop():
+    phi = sample_matrix(EnsembleSpec("gaussian", 7, 6, base_seed=30), 0).data
+    loop = [
+        abs(phi[:, i] @ phi[:, j]) / (np.linalg.norm(phi[:, i]) * np.linalg.norm(phi[:, j]))
+        for i, j in combinations(range(6), 2)
+    ]
+    np.testing.assert_allclose(subset_values(phi, COHERENCE, 2), loop, rtol=1e-13)
+
+
+def test_bernoulli_coherence_sits_on_the_lattice():
+    for m, n in ((6, 9), (20, 12), (50, 30)):
+        spec = EnsembleSpec("bernoulli", m, n, base_seed=31)
+        for phi in sample_batch(spec, 0, 8):
+            values = subset_values(phi, COHERENCE, 2)
+            exact = _exact_pair_products(phi)
+            np.testing.assert_array_equal(values, exact / m)
+            if m != 50:  # fl(fl(j/50) * 50) != j for j = 7, 14, 28, 29
+                np.testing.assert_array_equal(values * m, exact)
+
+
+def test_u_statistic_ties_on_the_bernoulli_lattice():
+    for m, n in ((6, 9), (50, 20)):
+        spec = EnsembleSpec("bernoulli", m, n, base_seed=32)
+        for trial in range(6):
+            phi = sample_matrix(spec, trial).data
+            exact = _exact_pair_products(phi)
+            for j in range(m + 1):
+                want = np.count_nonzero(exact > j) / len(exact)
+                assert u_statistic(phi, COHERENCE, 2, j / m) == want
+
+
+def test_coherence_chunk_memory_is_gram_sized():
+    # one 512-trial chunk of 50 x 100 matrices: the Gram stack is 41 MB, while
+    # gathering both columns of all 4950 pairs would take 2 GB
+    spec = EnsembleSpec("bernoulli", 50, 100, base_seed=7)
+    tracemalloc.start()
+    try:
+        mc_extreme_tail(spec, COHERENCE, 2, [0.5], trials=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs serially."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_thread_count_clamped_to_chunks_and_cpus(monkeypatch):
+    seen = []
+    monkeypatch.setattr(ustat, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(seen, max_workers))
+    spec = EnsembleSpec("gaussian", 4, 8, base_seed=14)
+    grid = np.linspace(0.5, 4.0, 9)
+    serial = [e.point for e in mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=1_200)]
+    assert seen == []
+    # 1200 trials are 3 chunks of at most 512
+    for cpus, threads, trials, want in (
+        (2, 64, 1_200, [2]),
+        (8, 64, 1_200, [3]),
+        (None, 64, 1_200, []),
+        (8, 64, 100, []),
+    ):
+        seen.clear()
+        monkeypatch.setattr(ustat.os, "cpu_count", lambda: cpus)
+        est = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=trials, threads=threads)
+        assert seen == want
+        if trials == 1_200:
+            assert [e.point for e in est] == serial
