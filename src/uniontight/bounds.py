@@ -18,6 +18,9 @@ from .poisson import LARGE, _sat_exp
 
 SIDES = ("max", "min")
 
+# moment-scaling constant beta of tau_q = beta / k^2 per ensemble family
+FAMILY_BETA = {"bernoulli": 3.0, "gaussian": 5.0}
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -77,12 +80,10 @@ class TauPreset:
 
     @classmethod
     def for_family(cls, family: str, k: int):
-        """Moment-derived presets: beta = 3 (Bernoulli) or 5 (Gaussian), beta' = 1."""
-        if family == "bernoulli":
-            return cls.from_moment_scaling(3.0, 1.0, k, "bernoulli")
-        if family == "gaussian":
-            return cls.from_moment_scaling(5.0, 1.0, k, "gaussian")
-        raise ValueError(f"no preset for family {family!r}")
+        """Moment-derived presets: beta = FAMILY_BETA[family] (3 or 5), beta' = 1."""
+        if family not in FAMILY_BETA:
+            raise ValueError(f"no preset for family {family!r}")
+        return cls.from_moment_scaling(FAMILY_BETA[family], 1.0, k, family)
 
 
 def _check_side(side):
@@ -253,20 +254,30 @@ def coherence_gaussian_proxy(a: float, m: int) -> float:
     return 2.0 * math.exp(-m * a**2 / 2.0) / (a * math.sqrt(2.0 * math.pi))
 
 
-def coherence_eps_bound(n: int, m: int, a: float, lam: float) -> float:
-    """Poisson-approximation error bound for the mutual coherence (k = 2).
+def coherence_eps_terms(n: int, m: int, a: float, lam: float) -> tuple[float, float]:
+    """The two terms of ``coherence_eps_bound``, in order.
 
-    (1 - e^-lam) (4n - 6) exp(-m a^2 / 2) + 4 n^3 exp(-m a^2); the second
-    term decays once a > sqrt((log 4 + 3 log n) / m).
+    (1 - e^-lam) (4n - 6) exp(-m a^2 / 2) and 4 n^3 exp(-m a^2).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     one_minus = -math.expm1(-lam)
-    return one_minus * (4.0 * n - 6.0) * math.exp(-m * a**2 / 2.0) + 4.0 * n**3 * math.exp(
-        -m * a**2
+    return (
+        one_minus * (4.0 * n - 6.0) * math.exp(-m * a**2 / 2.0),
+        4.0 * n**3 * math.exp(-m * a**2),
     )
+
+
+def coherence_eps_bound(n: int, m: int, a: float, lam: float) -> float:
+    """Poisson-approximation error bound for the mutual coherence (k = 2).
+
+    (1 - e^-lam) (4n - 6) exp(-m a^2 / 2) + 4 n^3 exp(-m a^2); the second
+    term decays once a > sqrt((log 4 + 3 log n) / m).
+    """
+    term1, term2 = coherence_eps_terms(n, m, a, lam)
+    return term1 + term2
 
 
 @dataclass(frozen=True)

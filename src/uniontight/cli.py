@@ -27,8 +27,10 @@ import numpy as np
 
 from . import checks
 from .bounds import (
+    FAMILY_BETA,
     TauPreset,
     coherence_eps_bound,
+    coherence_eps_terms,
     coherence_gaussian_proxy,
     coherence_tail_bound,
     concentration_tail,
@@ -145,8 +147,6 @@ _DEFAULTS = {
     },
     "check": {"trials": 2_000, "out": "-"},
 }
-
-_FAMILY_BETA = {"bernoulli": 3.0, "gaussian": 5.0}
 
 
 def build_parser():
@@ -378,9 +378,9 @@ def run_fig_rates(cfg):
     beta_prime = cfg.get("beta_prime")
     family = cfg["ensemble"]
     if beta is None and beta_prime is None:
-        beta, beta_prime = _FAMILY_BETA[family], 1.0
+        beta, beta_prime = FAMILY_BETA[family], 1.0
     else:
-        beta = beta if beta is not None else _FAMILY_BETA[family]
+        beta = beta if beta is not None else FAMILY_BETA[family]
         beta_prime = beta_prime if beta_prime is not None else 1.0
         family = "custom"
     permissive = bool(cfg.get("permissive"))
@@ -437,8 +437,7 @@ def run_fig_coherence(cfg):
         proxy = coherence_gaussian_proxy(a, m)
         lam = subset_count(n, 2) * proxy
         one_minus = poisson_nonzero_approx(lam)
-        term1 = one_minus * (4.0 * n - 6.0) * math.exp(-m * a**2 / 2.0)
-        term2 = 4.0 * n**3 * math.exp(-m * a**2)
+        term1, term2 = coherence_eps_terms(n, m, a, lam)
         rows.append([a, est.point, est.std_err, proxy, lam, one_minus, term1, term2])
     _emit_csv(cfg["out"], header, rows)
     return EXIT_OK
@@ -453,7 +452,7 @@ def run_bounds_table(cfg):
         preset = TauPreset.for_family(family, cfg["k"])
     else:
         preset = TauPreset.from_moment_scaling(
-            beta if beta is not None else _FAMILY_BETA[family],
+            beta if beta is not None else FAMILY_BETA[family],
             beta_prime if beta_prime is not None else 1.0,
             cfg["k"],
         )

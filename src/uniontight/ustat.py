@@ -13,14 +13,21 @@ k x k block for the eigen kernels and as one entry plus two diagonal entries
 for coherence.  For +-1/sqrt(m) matrices the Gram is the exact lattice one, so
 values sit exactly on j/m and ties at a = j/m resolve as 0.
 
-Monte-Carlo estimators share one kernel evaluation per trial across the whole
-threshold grid, so estimated tail curves are monotone by construction, and
-accumulate integer counts over fixed-size trial chunks, so results are
-invariant to the degree of parallelism.
+The four Monte-Carlo estimators are selections of one count engine
+(``_tail_counts``): per trial it evaluates a few fixed subsets and, when
+asked, the max over all subsets, and counts the trials in which every subset
+of an event exceeds the threshold.  One kernel evaluation per trial serves
+the whole threshold grid, so estimated tail curves are monotone by
+construction, and integer counts accumulate over fixed-size trial chunks, so
+results are invariant to the degree of parallelism.  Within a chunk all
+subsets are evaluated in blocks whose gathered k x k Grams stay under a fixed
+budget (``_BLOCK_BYTES``, 256 MiB), keeping a running maximum; the budget is
+per worker, so threads multiply it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +42,7 @@ from .kernels import KernelId, gram_coherence, gram_extremes, gram_stack, spectr
 DEFAULT_SUBSET_CAP = 1_000_000
 
 _TRIAL_CHUNK = 512      # fixed so results do not depend on thread count
-_SUBSET_BLOCK = 1 << 15
+_BLOCK_BYTES = 1 << 28  # gathered subset Grams per block of a chunk, per worker
 
 
 class EnumerationInfeasibleError(RuntimeError):
@@ -103,18 +110,6 @@ def _subsets_array(n, k, cap):
     return flat.reshape(count, k)
 
 
-def lex_rank(subset, n: int) -> int:
-    """Position of a sorted subset in the lexicographic enumeration of range(n)."""
-    k = len(subset)
-    rank = 0
-    prev = -1
-    for i, s in enumerate(subset):
-        for j in range(prev + 1, s):
-            rank += comb(n - 1 - j, k - 1 - i)
-        prev = s
-    return rank
-
-
 def _batch_values(grams, kernel: KernelId, subs, rows):
     """Kernel values over an array of subsets, read from Gram matrices.
 
@@ -127,21 +122,16 @@ def _batch_values(grams, kernel: KernelId, subs, rows):
     return spectral_value(kernel, smin, smax)
 
 
-def _chunk_values(spec, kernel: KernelId, subs, start, stop, cols=slice(None)):
-    """Kernel values of the trials [start, stop) over an array of subsets.
+def _value_blocks(grams, kernel: KernelId, subs, rows):
+    """(start, values) over consecutive blocks of subs, in enumeration order.
 
-    Only the Gram of the columns ``cols`` is built; ``subs`` indexes into them.
+    A block holds at most _BLOCK_BYTES of gathered k x k Grams over the whole
+    stack, and never less than one subset.
     """
-    # one expression, so the sampled stack is freed once its Gram is built
-    grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
-    return _batch_values(grams, kernel, subs, spec.m)
-
-
-def _fixed_subsets(subsets_list):
-    """(columns used, subsets renumbered into them) for a few fixed subsets."""
-    subs = np.asarray(subsets_list, dtype=np.int64)
-    cols = np.unique(subs)
-    return cols, np.searchsorted(cols, subs)
+    k = subs.shape[1]
+    step = max(1, _BLOCK_BYTES // (len(grams) * k * k * 8))
+    for start in range(0, len(subs), step):
+        yield start, _batch_values(grams, kernel, subs[start : start + step], rows)
 
 
 def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
@@ -151,11 +141,9 @@ def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
         raise ValueError("matrix contains non-finite entries")
     m, n = phi.shape
     subs = _subsets_array(n, k, cap)
-    grams = gram_stack(phi[None])
     out = np.empty(len(subs))
-    for start in range(0, len(subs), _SUBSET_BLOCK):
-        block = subs[start : start + _SUBSET_BLOCK]
-        out[start : start + len(block)] = _batch_values(grams, kernel, block, m)[0]
+    for start, values in _value_blocks(gram_stack(phi[None]), kernel, subs, m):
+        out[start : start + values.shape[1]] = values[0]
     return out
 
 
@@ -203,13 +191,51 @@ def _accumulate_counts(trials, threads, chunk_counts):
     return np.sum(parts, axis=0)
 
 
-def _check_mc_args(spec, kernel, k, trials):
+def _tail_counts(
+    spec: EnsembleSpec, kernel: KernelId, k, a_grid, trials, threads, fixed=(), events=(), cap=None
+):
+    """(grid, integer count rows) of one pass over the trial stream.
+
+    With ``cap`` set, the Grams span all n columns and the first row counts
+    the trials whose max over all size-k subsets (enumeration refused above
+    ``cap``) exceeds a; otherwise they span only the columns of the ``fixed``
+    subsets.  Each event, a tuple of positions into ``fixed``, adds the row
+    of trials in which every subset it names exceeds a.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 < k <= spec.n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={spec.n}")
     if kernel.needs_pair and k != 2:
         raise ValueError("coherence kernel requires k = 2")
+    for sub in fixed:
+        # integers only: a float index would be truncated into a duplicate
+        valid_indices = all(isinstance(i, (int, np.integer)) and 0 <= i < spec.n for i in sub)
+        if len(sub) != k or len(set(sub)) != k or not valid_indices:
+            raise ValueError("subset must hold k distinct integer column indices in range")
+    grid = np.asarray(a_grid, dtype=np.float64)
+    fixed = np.asarray(fixed, dtype=np.int64).reshape(len(fixed), k)
+    if cap is None:
+        cols, every = np.unique(fixed), None
+        fixed = np.searchsorted(cols, fixed)
+    else:
+        cols, every = slice(None), _subsets_array(spec.n, k, cap)
+
+    def chunk_counts(start, stop):
+        # one expression, so the sampled stack is freed once its Gram is built
+        grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
+        rows = []
+        if every is not None:
+            blocks = _value_blocks(grams, kernel, every, spec.m)
+            top = functools.reduce(np.maximum, (values.max(axis=1) for _, values in blocks))
+            rows.append(np.count_nonzero(top[:, None] > grid, axis=0))
+        if events:
+            exceed = _batch_values(grams, kernel, fixed, spec.m)[:, :, None] > grid
+            for event in events:
+                rows.append(np.count_nonzero(exceed[:, list(event)].all(axis=1), axis=0))
+        return np.stack(rows)
+
+    return grid, _accumulate_counts(trials, threads, chunk_counts)
 
 
 def mc_marginal_tail(
@@ -226,20 +252,10 @@ def mc_marginal_tail(
     The default subset is {0..k-1}; by column exchangeability any fixed subset
     gives the same distribution.
     """
-    _check_mc_args(spec, kernel, k, trials)
     if subset is None:
         subset = tuple(range(k))
-    if len(subset) != k or not all(0 <= i < spec.n for i in subset):
-        raise ValueError("subset must hold k distinct column indices in range")
-    grid = np.asarray(a_grid, dtype=np.float64)
-    cols, subs = _fixed_subsets([subset])
-
-    def chunk_counts(start, stop):
-        vals = _chunk_values(spec, kernel, subs, start, stop, cols)[:, 0]
-        return np.count_nonzero(vals[:, None] > grid[None, :], axis=0)
-
-    counts = _accumulate_counts(trials, threads, chunk_counts)
-    return _estimates(grid, counts, trials)
+    grid, counts = _tail_counts(spec, kernel, k, a_grid, trials, threads, [subset], [(0,)])
+    return _estimates(grid, counts[0], trials)
 
 
 def mc_joint_tail(
@@ -252,18 +268,10 @@ def mc_joint_tail(
     threads: int = 1,
 ):
     """Estimate q_i(a) = Pr{kernel(A_S) > a and kernel(A_R) > a} for |S & R| = i."""
-    _check_mc_args(spec, kernel, k, trials)
     pair = canonical_pair(k, overlap, spec.n)
-    grid = np.asarray(a_grid, dtype=np.float64)
-    cols, subs = _fixed_subsets([pair.first, pair.second])
-
-    def chunk_counts(start, stop):
-        vals = _chunk_values(spec, kernel, subs, start, stop, cols)
-        both = (vals[:, 0, None] > grid[None, :]) & (vals[:, 1, None] > grid[None, :])
-        return np.count_nonzero(both, axis=0)
-
-    counts = _accumulate_counts(trials, threads, chunk_counts)
-    return _estimates(grid, counts, trials)
+    fixed = [pair.first, pair.second]
+    grid, counts = _tail_counts(spec, kernel, k, a_grid, trials, threads, fixed, [(0, 1)])
+    return _estimates(grid, counts[0], trials)
 
 
 def mc_extreme_tail(
@@ -276,16 +284,8 @@ def mc_extreme_tail(
     threads: int = 1,
 ):
     """Estimate Pr{max over all size-k subsets of kernel(A_S) > a} per grid point."""
-    _check_mc_args(spec, kernel, k, trials)
-    grid = np.asarray(a_grid, dtype=np.float64)
-    subs = _subsets_array(spec.n, k, cap)
-
-    def chunk_counts(start, stop):
-        vals = _chunk_values(spec, kernel, subs, start, stop).max(axis=1)
-        return np.count_nonzero(vals[:, None] > grid[None, :], axis=0)
-
-    counts = _accumulate_counts(trials, threads, chunk_counts)
-    return _estimates(grid, counts, trials)
+    grid, counts = _tail_counts(spec, kernel, k, a_grid, trials, threads, cap=cap)
+    return _estimates(grid, counts[0], trials)
 
 
 @dataclass(frozen=True)
@@ -310,38 +310,17 @@ def extreme_experiment(
 ) -> ExtremeRun:
     """One pass computing the extreme, marginal and joint tails on shared trials.
 
-    Evaluates the kernel once per (trial, subset); the marginal subset and
-    the canonical joint pairs are picked out of the full enumeration by
-    lexicographic rank.
+    The marginal subset {0..k-1} and the second subsets of the canonical
+    joint pairs are read from the same Grams as the max over all subsets.
     """
-    _check_mc_args(spec, kernel, k, trials)
     if overlaps is None:
         overlaps = [i for i in range(1, k) if 2 * k - i <= spec.n]
-    grid = np.asarray(a_grid, dtype=np.float64)
-    subs = _subsets_array(spec.n, k, cap)
-    base = lex_rank(tuple(range(k)), spec.n)
-    pair_ranks = {
-        i: lex_rank(canonical_pair(k, i, spec.n).second, spec.n) for i in overlaps
-    }
-    ranks = [base] + [pair_ranks[i] for i in overlaps]
-    G = len(grid)
-
-    def chunk_counts(start, stop):
-        vals = _chunk_values(spec, kernel, subs, start, stop)
-        exceed = vals[:, ranks, None] > grid[None, None, :]
-        rows = [np.count_nonzero(vals.max(axis=1)[:, None] > grid[None, :], axis=0)]
-        rows.append(np.count_nonzero(exceed[:, 0], axis=0))
-        for pos in range(len(overlaps)):
-            rows.append(np.count_nonzero(exceed[:, 0] & exceed[:, 1 + pos], axis=0))
-        return np.stack(rows)
-
-    counts = _accumulate_counts(trials, threads, chunk_counts)
-    joint = {
-        i: _estimates(grid, counts[2 + pos], trials) for pos, i in enumerate(overlaps)
-    }
+    fixed = [tuple(range(k))] + [canonical_pair(k, i, spec.n).second for i in overlaps]
+    events = [(0,)] + [(0, 1 + pos) for pos in range(len(overlaps))]
+    grid, counts = _tail_counts(spec, kernel, k, a_grid, trials, threads, fixed, events, cap)
     return ExtremeRun(
         grid=grid,
         extreme=_estimates(grid, counts[0], trials),
         marginal=_estimates(grid, counts[1], trials),
-        joint=joint,
+        joint={i: _estimates(grid, counts[2 + pos], trials) for pos, i in enumerate(overlaps)},
     )

@@ -13,7 +13,6 @@ from uniontight.ustat import (
     SubsetPair,
     canonical_pair,
     extreme_experiment,
-    lex_rank,
     max_over_subsets,
     mc_extreme_tail,
     mc_joint_tail,
@@ -40,12 +39,6 @@ def test_subsets_cap_error_names_count():
     except EnumerationInfeasibleError as exc:
         err = exc
     assert err is not None and err.count == math.comb(30, 8) and err.cap == 100
-
-
-def test_lex_rank_consistent_with_enumeration():
-    for n, k in ((3, 2), (6, 3), (7, 1)):
-        for rank, sub in enumerate(subsets(n, k)):
-            assert lex_rank(sub, n) == rank
 
 
 def test_u_statistic_hand_enumeration():
@@ -223,6 +216,10 @@ def test_mc_argument_validation():
         mc_marginal_tail(spec, COHERENCE, 3, [0.5], trials=10)
     with pytest.raises(ValueError):
         mc_marginal_tail(spec, SIGMA_MAX_SQ, 2, [1.0], trials=10, subset=(0, 9))
+    with pytest.raises(ValueError, match="distinct"):
+        mc_marginal_tail(spec, SIGMA_MAX_SQ, 2, [2.0], trials=10, subset=(1, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        mc_marginal_tail(spec, SIGMA_MAX_SQ, 2, [2.0], trials=10, subset=(1, 1.5))
     with pytest.raises(ValueError):
         mc_joint_tail(spec, SIGMA_MAX_SQ, 2, 2, [1.0], trials=10)
 
@@ -318,3 +315,48 @@ def test_thread_count_clamped_to_chunks_and_cpus(monkeypatch):
         assert seen == want
         if trials == 1_200:
             assert [e.point for e in est] == serial
+
+
+def _points(run):
+    return (
+        [e.point for e in run.extreme],
+        [e.point for e in run.marginal],
+        {i: [e.point for e in series] for i, series in run.joint.items()},
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_subset_tiling_does_not_change_estimates(monkeypatch, threads):
+    # 600 trials are two chunks; k = 3 of n = 7 is 35 subsets per trial
+    spec = EnsembleSpec("gaussian", 4, 7, base_seed=16)
+    grid = np.linspace(0.2, 1.4, 13)
+    untiled = (
+        _points(extreme_experiment(spec, RIC, 3, grid, trials=600, threads=threads)),
+        [e.point for e in mc_extreme_tail(spec, RIC, 3, grid, trials=600, threads=threads)],
+    )
+    coh_grid = np.linspace(0.1, 0.9, 9)
+    coh = [e.point for e in mc_extreme_tail(spec, COHERENCE, 2, coh_grid, trials=600)]
+    # 36,864 B = one 3 x 3 block of 8-byte entries for each of 512 trials
+    for budget in (1, 36_864, 5 * 36_864):
+        monkeypatch.setattr(ustat, "_BLOCK_BYTES", budget)
+        tiled = (
+            _points(extreme_experiment(spec, RIC, 3, grid, trials=600, threads=threads)),
+            [e.point for e in mc_extreme_tail(spec, RIC, 3, grid, trials=600, threads=threads)],
+        )
+        assert tiled == untiled
+        tiled_coh = mc_extreme_tail(spec, COHERENCE, 2, coh_grid, trials=600, threads=threads)
+        assert [e.point for e in tiled_coh] == coh
+
+
+def test_subset_tiling_bounds_chunk_memory(monkeypatch):
+    # one 128-trial chunk over the C(20, 4) = 4845 subsets of a 10 x 20 matrix:
+    # gathering every 4 x 4 block at once takes 128 * 4845 * 128 B = 79 MB
+    monkeypatch.setattr(ustat, "_BLOCK_BYTES", 4 * 2**20)
+    spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
+    tracemalloc.start()
+    try:
+        mc_extreme_tail(spec, RIC, 4, [0.5], trials=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
