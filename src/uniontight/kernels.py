@@ -62,6 +62,7 @@ NEG_SIGMA_MIN_SQ = KernelId("neg_sigma_min_sq")
 COHERENCE = KernelId("coherence")
 
 _FIRST_PAIR = np.array([[0, 1]])
+_GRAM_TILE_BYTES = 1 << 18  # Gaussian Grams are summed a cache-sized tile at a time
 
 
 def _checked(a_sub):
@@ -78,6 +79,9 @@ def gram_stack(mats: np.ndarray) -> np.ndarray:
 
     A stack whose entries all have magnitude entry_scale(m) gets the exact
     lattice Gram (S^T S) / m built from its signs S (see the module notes).
+    Any other stack sums the row outer products in row order 0..m-1, so an
+    entry's rounding does not depend on which or how many columns the stack
+    holds: a subset's Gram is the same bits as its block of the full Gram.
     """
     m = mats.shape[-2]
     scale = entry_scale(m)
@@ -87,7 +91,18 @@ def gram_stack(mats: np.ndarray) -> np.ndarray:
         grams = np.matmul(np.swapaxes(signs, -1, -2), signs)
         grams /= m
         return grams
-    return np.einsum("bmi,bmj->bij", mats, mats)
+    # a tile of matrices at a time keeps the running sums in cache
+    count, n = mats.shape[0], mats.shape[-1]
+    grams = np.empty((count, n, n))
+    step = max(1, _GRAM_TILE_BYTES // (n * n * 8))
+    term = np.empty((min(step, count), n, n))
+    for start in range(0, count, step):
+        rows = np.swapaxes(mats[start : start + step], 0, 1)
+        tile, part = grams[start : start + step], term[: rows.shape[1]]
+        np.multiply(rows[0][:, :, None], rows[0][:, None, :], out=tile)
+        for row in rows[1:]:
+            tile += np.multiply(row[:, :, None], row[:, None, :], out=part)
+    return grams
 
 
 def gram_extremes(grams: np.ndarray, rows=None):

@@ -23,6 +23,20 @@ results are invariant to the degree of parallelism.  Within a chunk all
 subsets are evaluated in blocks whose gathered k x k Grams stay under a fixed
 budget (``_BLOCK_BYTES``, 256 MiB), keeping a running maximum; the budget is
 per worker, so threads multiply it.
+
+The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
+is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
+for the eigen kernels at k >= 3; at k <= 2 the closed form is cheaper than any
+bound and every subset is evaluated.  Each subset gets a bound read pair by
+pair from the Gram: sigma2_max <= min(max_i (G_ii + R_i), ||G_S||_F) with R_i
+the Gershgorin radius of row i, sigma2_min >= max(0, min_i (G_ii - R_i),
+tr G_S - (k-1) ub_smax), and the kernel's value at those bounds.  A subset is
+decomposed only when its bound, widened by 1e-9 of |bound| + ub_smax for
+rounding, reaches a value already computed for that matrix, so the maximum
+and every count are exactly those of exhaustive evaluation.  On 10 x 20
+Gaussian matrices at k = 4 about 3% of subsets are decomposed for ``ric`` and
+``sigma_max_sq``, while the sigma2_min bound is weak and leaves about 94% for
+``neg_sigma_min_sq``.
 """
 
 from __future__ import annotations
@@ -43,6 +57,8 @@ DEFAULT_SUBSET_CAP = 1_000_000
 
 _TRIAL_CHUNK = 512      # fixed so results do not depend on thread count
 _BLOCK_BYTES = 1 << 28  # gathered subset Grams per block of a chunk, per worker
+_BOUND_MARGIN = 1e-9    # relative slack of a subset bound, far above eigvalsh rounding
+_SLICE_BYTES = 1 << 18  # per (matrices, subsets) array while bounding a block
 
 
 class EnumerationInfeasibleError(RuntimeError):
@@ -102,6 +118,13 @@ def subsets(n: int, k: int, cap: int = DEFAULT_SUBSET_CAP):
     return itertools.combinations(range(n), k)
 
 
+def _checked_matrix(phi):
+    phi = np.asarray(phi, dtype=np.float64)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("matrix contains non-finite entries")
+    return phi
+
+
 def _subsets_array(n, k, cap):
     count = comb(n, k)
     flat = np.fromiter(
@@ -122,29 +145,104 @@ def _batch_values(grams, kernel: KernelId, subs, rows):
     return spectral_value(kernel, smin, smax)
 
 
-def _value_blocks(grams, kernel: KernelId, subs, rows):
-    """(start, values) over consecutive blocks of subs, in enumeration order.
+def _blocks(subs, matrices):
+    """Consecutive blocks of subs, in enumeration order.
 
-    A block holds at most _BLOCK_BYTES of gathered k x k Grams over the whole
-    stack, and never less than one subset.
+    A block holds at most _BLOCK_BYTES of gathered k x k Grams over a stack of
+    ``matrices`` Grams, and never less than one subset.
     """
     k = subs.shape[1]
-    step = max(1, _BLOCK_BYTES // (len(grams) * k * k * 8))
+    step = max(1, _BLOCK_BYTES // (matrices * k * k * 8))
+    return (subs[start : start + step] for start in range(0, len(subs), step))
+
+
+def _spectral_bounds(flat, n, subs, rows):
+    """(lb_smin, ub_smax), each (B, N): bounds on the extreme eigenvalues of subsets.
+
+    flat: (B, n * n) Grams; the entries of each subset's Gram are read pair
+    by pair, never gathered as k x k blocks.  sigma2_max is at most
+    min(max_i (G_ii + R_i), ||G_S||_F), R_i the Gershgorin radius of row i,
+    and sigma2_min at least max(0, min_i (G_ii - R_i), tr G_S - (k-1) ub_smax),
+    or exactly 0 when k > m.
+    """
+    k = subs.shape[1]
+    diag = [flat[:, subs[:, i] * (n + 1)] for i in range(k)]
+    radius = [np.zeros_like(diag[0]) for _ in range(k)]
+    frob_sq = functools.reduce(np.add, (d * d for d in diag))
+    for i, j in itertools.combinations(range(k), 2):
+        entry = np.abs(flat[:, subs[:, i] * n + subs[:, j]])
+        radius[i] += entry
+        radius[j] += entry
+        frob_sq += 2.0 * entry * entry
+    ub_smax = np.minimum(functools.reduce(np.maximum, map(np.add, diag, radius)), np.sqrt(frob_sq))
+    if k > rows:
+        return np.zeros_like(ub_smax), ub_smax
+    lb_smin = functools.reduce(np.minimum, map(np.subtract, diag, radius))
+    lb_smin = np.maximum(lb_smin, functools.reduce(np.add, diag) - (k - 1) * ub_smax)
+    return np.maximum(lb_smin, 0.0), ub_smax
+
+
+def _subset_reach(grams, kernel: KernelId, subs, rows):
+    """(B, N) upper bounds on the kernel values of subs, widened for rounding.
+
+    The bound is spectral_value at (lb_smin, ub_smax), plus _BOUND_MARGIN
+    times |bound| + ub_smax, which covers rounding in the bound and in
+    eigvalsh.  Computed in slices of _SLICE_BYTES per (B, slice) array, so
+    the temporaries stay in cache.
+    """
+    n = grams.shape[-1]
+    flat = grams.reshape(len(grams), n * n)
+    reach = np.empty((len(grams), len(subs)))
+    step = max(1, _SLICE_BYTES // (len(grams) * 8))
     for start in range(0, len(subs), step):
-        yield start, _batch_values(grams, kernel, subs[start : start + step], rows)
+        lb_smin, ub_smax = _spectral_bounds(flat, n, subs[start : start + step], rows)
+        bound = spectral_value(kernel, lb_smin, ub_smax)
+        reach[:, start : start + step] = bound + _BOUND_MARGIN * (np.abs(bound) + ub_smax)
+    return reach
+
+
+def _picked_values(grams, kernel: KernelId, picks, subs, rows):
+    """Kernel values of subset subs[c] in matrix picks[c], one per pick -> (C,)."""
+    blocks = grams[picks[:, None, None], subs[:, :, None], subs[:, None, :]]
+    return spectral_value(kernel, *gram_extremes(blocks, rows=rows))
+
+
+def _max_values(grams, kernel: KernelId, subs, rows):
+    """Per-matrix maximum kernel value over subs -> (B,), as exhaustive evaluation gives it.
+
+    Where gram_extremes runs eigvalsh (eigen kernels, k >= 3) this is an exact
+    branch and bound: in each block, every matrix first evaluates the subset
+    with the highest widened bound (``_subset_reach``), then only the subsets
+    whose widened bound reaches the best value seen so far.  A skipped subset
+    cannot hold the maximum, and eigvalsh gives each k x k Gram the same
+    floats whatever else is in its stack, so the maximum is bit for bit the
+    exhaustive one.
+    """
+    if kernel.needs_pair or subs.shape[1] < 3:
+        blocks = _blocks(subs, len(grams))
+        return functools.reduce(np.maximum, (_batch_values(grams, kernel, b, rows).max(axis=1) for b in blocks))
+    top = np.full(len(grams), -np.inf)
+    matrices = np.arange(len(grams))
+    for block in _blocks(subs, len(grams)):
+        reach = _subset_reach(grams, kernel, block, rows)
+        seed = block[reach.argmax(axis=1)]
+        top = np.maximum(top, _picked_values(grams, kernel, matrices, seed, rows))
+        picks, pos = np.nonzero(reach >= top[:, None])
+        # a block's length of candidates at a time: where a weak bound keeps
+        # most of the block, gathering them all with their index arrays would
+        # take more memory than the exhaustive block did
+        for start in range(0, len(picks), len(block)):
+            part = slice(start, start + len(block))
+            np.maximum.at(top, picks[part], _picked_values(grams, kernel, picks[part], block[pos[part]], rows))
+    return top
 
 
 def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
     """Kernel values of one matrix over all size-k subsets, enumeration order."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("matrix contains non-finite entries")
-    m, n = phi.shape
-    subs = _subsets_array(n, k, cap)
-    out = np.empty(len(subs))
-    for start, values in _value_blocks(gram_stack(phi[None]), kernel, subs, m):
-        out[start : start + values.shape[1]] = values[0]
-    return out
+    phi = _checked_matrix(phi)
+    grams = gram_stack(phi[None])
+    subs = _subsets_array(phi.shape[1], k, cap)
+    return np.concatenate([_batch_values(grams, kernel, b, phi.shape[0])[0] for b in _blocks(subs, 1)])
 
 
 def u_statistic(phi, kernel: KernelId, k: int, a: float, cap: int = DEFAULT_SUBSET_CAP) -> float:
@@ -158,7 +256,9 @@ def max_over_subsets(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CA
 
     For the coherence kernel this is the mutual coherence of the matrix.
     """
-    return float(subset_values(phi, kernel, k, cap).max())
+    phi = _checked_matrix(phi)
+    subs = _subsets_array(phi.shape[1], k, cap)
+    return float(_max_values(gram_stack(phi[None]), kernel, subs, phi.shape[0])[0])
 
 
 @dataclass(frozen=True)
@@ -226,8 +326,7 @@ def _tail_counts(
         grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
         rows = []
         if every is not None:
-            blocks = _value_blocks(grams, kernel, every, spec.m)
-            top = functools.reduce(np.maximum, (values.max(axis=1) for _, values in blocks))
+            top = _max_values(grams, kernel, every, spec.m)
             rows.append(np.count_nonzero(top[:, None] > grid, axis=0))
         if events:
             exceed = _batch_values(grams, kernel, fixed, spec.m)[:, :, None] > grid

@@ -7,7 +7,16 @@ import pytest
 
 from uniontight import ustat
 from uniontight.ensembles import EnsembleSpec, sample_batch, sample_matrix
-from uniontight.kernels import COHERENCE, RIC, SIGMA_MAX_SQ, ric_kernel
+from uniontight.kernels import (
+    COHERENCE,
+    NEG_SIGMA_MIN_SQ,
+    RIC,
+    SIGMA_MAX_SQ,
+    coherence_kernel,
+    gram_stack,
+    kernel_value,
+    ric_kernel,
+)
 from uniontight.ustat import (
     EnumerationInfeasibleError,
     SubsetPair,
@@ -360,3 +369,75 @@ def test_subset_tiling_bounds_chunk_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_subset_values_match_single_submatrix_kernels_bitwise():
+    # the all-column Gram and a k-column Gram must round each entry alike
+    phi = np.random.default_rng(0).standard_normal((7, 6))
+    pairs = [coherence_kernel(phi[:, list(s)]) for s in combinations(range(6), 2)]
+    np.testing.assert_array_equal(subset_values(phi, COHERENCE, 2), pairs)
+    triples = [kernel_value(SIGMA_MAX_SQ, phi[:, list(s)]) for s in combinations(range(6), 3)]
+    np.testing.assert_array_equal(subset_values(phi, SIGMA_MAX_SQ, 3), triples)
+
+
+EIGEN_KERNELS = [RIC, SIGMA_MAX_SQ, NEG_SIGMA_MIN_SQ]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _exact_cases():
+    rng = np.random.default_rng(40)
+    gaussian = rng.standard_normal((6, 9))
+    bernoulli = np.sign(rng.standard_normal((6, 9))) / math.sqrt(6)  # many tied maxima
+    duplicated = np.column_stack([gaussian, gaussian[:, 4]])
+    return [(gaussian, 3), (gaussian, 4), (bernoulli, 3), (bernoulli, 4), (gaussian[:3], 4), (duplicated, 3)]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_pruned_max_equals_exhaustive_max_bitwise(monkeypatch, kernel, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(ustat, "_BLOCK_BYTES", block_bytes)  # one subset per block
+    for phi, k in _exact_cases():
+        exhaustive = subset_values(phi, kernel, k).max()
+        assert _bits(max_over_subsets(phi, kernel, k)) == _bits(exhaustive)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_pruned_extreme_counts_match_exhaustive_at_ties(kernel, threads):
+    # thresholds at the exhaustive maxima themselves: an ulp off flips a count
+    # (600 trials are two chunks; 3 x 7 with k = 4 is rank deficient)
+    for ensemble, m, k in (("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)):
+        spec = EnsembleSpec(ensemble, m, 7, base_seed=41)
+        tops = np.array([subset_values(phi, kernel, k).max() for phi in sample_batch(spec, 0, 600)])
+        values = np.unique(tops)
+        grid = values[:: max(1, len(values) // 40)]
+        est = mc_extreme_tail(spec, kernel, k, grid, trials=600, threads=threads)
+        assert [e.point for e in est] == [np.count_nonzero(tops > a) / 600 for a in grid]
+
+
+def test_eigvalsh_of_gathered_candidates_matches_full_stack():
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 12, base_seed=42), 0, 16))
+    subs = ustat._subsets_array(12, 4, 10**6)
+    full = np.linalg.eigvalsh(grams[:, subs[:, :, None], subs[:, None, :]])
+    picks, pos = np.nonzero(np.random.default_rng(42).random(full.shape[:2]) < 0.03)
+    gathered = np.linalg.eigvalsh(grams[picks[:, None, None], subs[pos][:, :, None], subs[pos][:, None, :]])
+    assert _bits(gathered) == _bits(full[picks, pos])
+
+
+@pytest.mark.parametrize("kernel", [RIC, SIGMA_MAX_SQ], ids=lambda kern: kern.variant)
+def test_pruning_skips_most_eigendecompositions(monkeypatch, kernel):
+    seen = []
+    real = ustat.gram_extremes
+
+    def recording(grams, rows=None):
+        seen.append(int(np.prod(grams.shape[:-2])))
+        return real(grams, rows=rows)
+
+    monkeypatch.setattr(ustat, "gram_extremes", recording)
+    spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
+    mc_extreme_tail(spec, kernel, 4, [0.5], trials=128)
+    assert 0 < sum(seen) < 0.05 * 128 * math.comb(20, 4)
