@@ -7,7 +7,6 @@ of max-over-subsets statistics against the Poisson approximation
 """
 
 from .bounds import (
-    BoundCurve,
     RateCheck,
     TauPreset,
     c3_constant,

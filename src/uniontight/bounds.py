@@ -343,19 +343,6 @@ def recovery_constants(delta: float) -> tuple[float, float]:
     return c1, c2
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """A labelled (a, value) sequence ready for CSV emission."""
-
-    label: str
-    points: tuple
-
-    def __post_init__(self):
-        avals = [a for a, _ in self.points]
-        if any(x >= y for x, y in zip(avals, avals[1:])):
-            raise ValueError("curve thresholds must be strictly increasing")
-
-
 def sym_expm(x: np.ndarray) -> np.ndarray:
     """Matrix exponential of a real symmetric matrix via eigendecomposition."""
     w, v = np.linalg.eigh(np.asarray(x, dtype=np.float64))

@@ -13,6 +13,14 @@ Gaussian sampling algorithm (fixed so golden outputs stay stable): the raw
 uniform u = ((raw >> 11) + 0.5) * 2**-53 and transformed by the inverse
 normal CDF (scipy.special.ndtri).  Bernoulli signs come from the top bit of
 the same raw word.
+
+Trial t's raw words are those of ``Philox(key=[base_seed, t]).random_raw(m*n)``,
+bit for bit, but no generator is built per trial.  Up to
+``_VECTOR_WORDS_MAX`` words per trial (m*n, measured crossover) the
+Philox4x64-10 rounds run on uint64 arrays over (trials, 4-word blocks), the
+first block at counter 1 because numpy advances the counter before it
+generates; above it, one generator per ``sample_batch`` call is reseated to
+each trial's key through its ``state`` setter.
 """
 
 from __future__ import annotations
@@ -65,10 +73,64 @@ def entry_scale(m: int) -> float:
     return 1.0 / math.sqrt(m)
 
 
-def _raw_stream(base_seed, trial_index, size):
-    """Raw uint64 Philox words for one (base_seed, trial_index) stream."""
-    key = np.array([base_seed, trial_index], dtype=np.uint64)
-    return Philox(key=key).random_raw(size)
+# Philox4x64-10 (Salmon et al., SC'11, as in numpy.random.Philox)
+_PHILOX_ROUNDS = 10
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Most words per trial for which the vectorized rounds beat reseating one
+# generator.  Medians per 512-trial chunk on a 2-vCPU x86-64 host, vectorized
+# vs reseated: 48 words 1.8 vs 2.4 ms, 64 words 2.2-2.5 vs 2.6 ms, 80 words
+# 3.0-3.2 vs 2.7 ms, 160 words 4.9-5.5 vs 2.4-3.2 ms.
+_VECTOR_WORDS_MAX = 64
+
+
+def _mulhilo(mul, x):
+    """High and low 64-bit words of the 128-bit product mul * x (x uint64)."""
+    m_lo, m_hi = np.uint64(mul & 0xFFFFFFFF), np.uint64(mul >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lh, hl = x_lo * m_hi, x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(mul)
+
+
+def _philox_words(base_seed, first, count, size):
+    """Raw words of trials [first, first + count), computed on all trials at once.
+
+    Trial t's stream is keyed (base_seed, t) and its j-th 4-word block is
+    Philox4x64-10 of the counter (j + 1, 0, 0, 0): numpy advances the counter
+    before it generates, so a fresh generator's first block is counter 1.
+    """
+    blocks = -(-size // 4)
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
+    x1 = x2 = x3 = np.zeros((count, blocks), dtype=np.uint64)
+    k0 = np.uint64(base_seed)
+    k1 = (np.uint64(first) + np.arange(count, dtype=np.uint64))[:, None]
+    with np.errstate(over="ignore"):
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                k0 = k0 + np.uint64(_PHILOX_WEYL[0])
+                k1 = k1 + np.uint64(_PHILOX_WEYL[1])
+            hi0, lo0 = _mulhilo(_PHILOX_MUL[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_MUL[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack((x0, x1, x2, x3), axis=2).reshape(count, 4 * blocks)[:, :size]
+
+
+def _reseated_words(base_seed, first, count, size):
+    """Raw words of trials [first, first + count) from one reseated generator."""
+    key = np.array([base_seed, 0], dtype=np.uint64)
+    bitgen = Philox(key=key)
+    state = bitgen.state  # fresh: counter 0, buffer_pos 4; the setter copies key
+    state["state"]["key"] = key
+    raws = np.empty((count, size), dtype=np.uint64)
+    for i in range(count):
+        key[1] = first + i
+        bitgen.state = state
+        raws[i] = bitgen.random_raw(size)
+    return raws
 
 
 def _gaussian_from_raw(raw):
@@ -85,28 +147,30 @@ def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
     """Draw the m x n matrix for one trial, deterministic in (base_seed, trial_index)."""
     if not 0 <= trial_index <= _U64_MAX:
         raise ValueError("trial_index must fit in an unsigned 64-bit integer")
-    raw = _raw_stream(spec.base_seed, trial_index, spec.m * spec.n)
-    scale = entry_scale(spec.m)
-    if spec.family == "gaussian":
-        entries = _gaussian_from_raw(raw) * scale
-    else:
-        entries = _signs_from_raw(raw) * scale
-    return MatrixSample(entries.reshape(spec.m, spec.n), spec, trial_index)
+    return MatrixSample(sample_batch(spec, trial_index, trial_index + 1)[0], spec, trial_index)
 
 
 def sample_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     """Stack of matrices for trial indices [start, stop); shape (stop-start, m, n).
 
-    Equivalent to stacking sample_matrix results; batched so the inverse-CDF
-    transform runs once per chunk.
+    Trial t's entries come from the words of
+    ``Philox(key=[base_seed, t]).random_raw(m * n)``, bit for bit, without
+    building a generator per trial.  Up to ``_VECTOR_WORDS_MAX`` (64) words
+    per trial the Philox4x64-10 rounds run on uint64 arrays over (trials,
+    blocks), the first block at counter 1; above it one generator per call is
+    reseated to each trial's key through its ``state`` setter.  Equivalent to
+    stacking sample_matrix results.
     """
-    if stop < start:
-        raise ValueError("stop must be >= start")
+    if not 0 <= start <= stop <= _U64_MAX + 1:
+        raise ValueError("need 0 <= start <= stop <= 2**64")
     count = stop - start
     size = spec.m * spec.n
-    raws = np.empty((count, size), dtype=np.uint64)
-    for i in range(count):
-        raws[i] = _raw_stream(spec.base_seed, start + i, size)
+    if count == 0:
+        raws = np.empty((0, size), dtype=np.uint64)
+    elif size <= _VECTOR_WORDS_MAX:
+        raws = _philox_words(spec.base_seed, start, count, size)
+    else:
+        raws = _reseated_words(spec.base_seed, start, count, size)
     scale = entry_scale(spec.m)
     if spec.family == "gaussian":
         entries = _gaussian_from_raw(raws) * scale

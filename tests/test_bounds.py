@@ -6,7 +6,6 @@ from scipy.linalg import expm as dense_expm
 from scipy.special import rel_entr
 
 from uniontight.bounds import (
-    BoundCurve,
     TauPreset,
     c3_constant,
     c4_constant,
@@ -350,9 +349,5 @@ def test_trace_exponential_inequalities():
         ) * np.trace(c @ x) + tol
 
 
-def test_bound_curve_and_vacuous():
-    curve = BoundCurve("marginal_max", ((0.1, 2.0), (0.2, 1.0), (0.3, 0.5)))
-    assert curve.label == "marginal_max"
-    with pytest.raises(ValueError):
-        BoundCurve("bad", ((0.2, 1.0), (0.2, 0.5)))
+def test_is_vacuous():
     assert is_vacuous(1.0) and is_vacuous(7.3) and not is_vacuous(0.999)

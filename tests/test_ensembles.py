@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
+from uniontight import ensembles
 from uniontight.ensembles import (
     EnsembleSpec,
     MatrixSample,
@@ -42,6 +44,77 @@ def test_sample_batch_matches_per_trial_sampling():
     batch = sample_batch(spec, 2, 6)
     for offset in range(4):
         assert np.array_equal(batch[offset], sample_matrix(spec, 2 + offset).data)
+
+
+def _reference_words(base_seed, start, stop, size):
+    """The words of one freshly keyed numpy Philox per trial (the oracle)."""
+    return np.stack(
+        [Philox(key=np.array([base_seed, t], dtype=np.uint64)).random_raw(size) for t in range(start, stop)]
+    )
+
+
+def _batch_words(monkeypatch, spec, start, stop):
+    """The raw words sample_batch hands to its Gaussian transform."""
+    seen = []
+
+    def keep(raw):
+        seen.append(raw.copy())
+        return np.zeros(raw.shape)
+
+    monkeypatch.setattr(ensembles, "_gaussian_from_raw", keep)
+    sample_batch(spec, start, stop)
+    return seen[0]
+
+
+@pytest.mark.parametrize("path", ["vectorized", "reseated"])
+@pytest.mark.parametrize(
+    "base_seed, m, n, start, stop",
+    [
+        (0, 1, 1, 0, 8),
+        (2**64 - 1, 1, 7, 37, 45),
+        (7, 5, 10, 0, 64),
+        (3, 5, 10, 2**64 - 9, 2**64),
+        (8117, 50, 100, 2**64 - 3, 2**64),
+    ],
+)
+def test_sample_batch_words_match_numpy_philox(monkeypatch, path, base_seed, m, n, start, stop):
+    monkeypatch.setattr(ensembles, "_VECTOR_WORDS_MAX", 2**62 if path == "vectorized" else 0)
+    spec = EnsembleSpec("gaussian", m, n, base_seed=base_seed)
+    words = _batch_words(monkeypatch, spec, start, stop)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, _reference_words(base_seed, start, stop, m * n))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("base_seed, start", [(0, 0), (2**64 - 1, 2**64 - 6)])
+def test_sample_batch_words_exact_around_crossover(monkeypatch, offset, base_seed, start):
+    size = ensembles._VECTOR_WORDS_MAX + offset
+    spec = EnsembleSpec("gaussian", 1, size, base_seed=base_seed)
+    words = _batch_words(monkeypatch, spec, start, start + 6)
+    assert np.array_equal(words, _reference_words(base_seed, start, start + 6, size))
+
+
+@pytest.mark.parametrize("m, n", [(5, 10), (10, 20)])
+def test_sample_batch_builds_at_most_one_generator(monkeypatch, m, n):
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "Philox", counting_philox)
+    assert sample_batch(EnsembleSpec("gaussian", m, n, base_seed=7), 100, 612).shape == (512, m, n)
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 1), (2**64 - 1, 2**64 + 1), (5, 4)])
+def test_sample_batch_rejects_trials_outside_u64(start, stop):
+    with pytest.raises(ValueError):
+        sample_batch(EnsembleSpec("bernoulli", 3, 4), start, stop)
+
+
+def test_sample_batch_empty_range_at_top_of_u64():
+    assert sample_batch(EnsembleSpec("bernoulli", 3, 4), 2**64, 2**64).shape == (0, 3, 4)
 
 
 def test_gaussian_column_norm_second_moment():
