@@ -5,7 +5,9 @@ submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A:
 ``gram_stack`` builds one n x n Gram per matrix, the eigen kernels take the
 extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``), and the
 coherence kernel reads |G_ij| / sqrt(G_ii G_jj) (``gram_coherence``).  The
-single-submatrix functions are thin wrappers over the same primitives.
+max of the coherence over all pairs (``gram_mutual_coherence``) is read from
+tiles of whole Grams, with no pair gathered.  The single-submatrix functions
+are thin wrappers over the same primitives.
 
 Four variants are supported:
 
@@ -27,7 +29,8 @@ Exact lattice: a matrix whose entries all have magnitude
 +-1 products and their sums are exact in float64, so every Gram entry is the
 correctly rounded lattice value j/m, every diagonal entry is exactly 1, and
 the coherence of a pair is exactly fl(|j|/m).  A threshold a = j/m is then a
-true tie and resolves as 0.
+true tie and resolves as 0.  On a unit diagonal sqrt(1 * 1) is exactly 1, so
+``gram_mutual_coherence`` skips the division there without changing a bit.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ def gram_stack(mats: np.ndarray) -> np.ndarray:
     # the scalar test rejects Gaussian stacks without a pass over the array
     if abs(mats.flat[0]) == scale and np.all(np.abs(mats) == scale):
         signs = np.sign(mats)
-        grams = np.matmul(np.swapaxes(signs, -1, -2), signs)
+        # the batched matmul runs faster on a contiguous left factor; the sums stay exact
+        grams = np.matmul(np.ascontiguousarray(np.swapaxes(signs, -1, -2)), signs)
         grams /= m
         return grams
     # a tile of matrices at a time keeps the running sums in cache
@@ -147,6 +151,34 @@ def gram_coherence(grams: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     norms = diag[:, i] * diag[:, j]
     values /= np.sqrt(norms, out=norms)
     return np.minimum(values, 1.0, out=values)
+
+
+def gram_mutual_coherence(grams: np.ndarray) -> np.ndarray:
+    """Coherence max over all column pairs of each Gram, clipped at 1; shape (B,).
+
+    Bit for bit gram_coherence(grams, pairs).max(axis=1) over all pairs i < j
+    for the exactly symmetric Grams of gram_stack.  No pair is gathered: a
+    tile of _GRAM_TILE_BYTES of Grams at a time is normalized whole, with the
+    same floats as gram_coherence, its diagonal zeroed and its max taken.
+    """
+    count, n = grams.shape[0], grams.shape[-1]
+    diag = np.diagonal(grams, axis1=-2, axis2=-1)
+    if np.any(diag == 0.0):
+        raise ValueError("degenerate input: coherence kernel needs nonzero columns")
+    top = np.empty(count)
+    step = max(1, _GRAM_TILE_BYTES // (n * n * 8))
+    values, norms = np.empty((2, min(step, count), n, n))
+    for start in range(0, count, step):
+        tile, d = grams[start : start + step], diag[start : start + step]
+        part = np.abs(tile, out=values[: len(tile)])
+        # a unit diagonal (every exact lattice Gram) divides by sqrt(1 * 1) = 1
+        if not np.all(d == 1.0):
+            norm = np.multiply(d[:, :, None], d[:, None, :], out=norms[: len(tile)])
+            part /= np.sqrt(norm, out=norm)
+        flat = part.reshape(len(tile), n * n)
+        flat[:, :: n + 1] = 0.0
+        flat.max(axis=1, out=top[start : start + step])
+    return np.minimum(top, 1.0, out=top)
 
 
 def spectral_value(kernel: KernelId, smin, smax):

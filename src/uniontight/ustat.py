@@ -10,7 +10,9 @@ Kernels are evaluated Gram-first: each matrix gets one Gram
 (``kernels.gram_stack``) over the columns the subsets use, all n of them when
 every subset is enumerated, and every subset's value is read from it, as a
 k x k block for the eigen kernels and as one entry plus two diagonal entries
-for coherence.  For +-1/sqrt(m) matrices the Gram is the exact lattice one, so
+for the coherence of a fixed pair.  The coherence max over all pairs is read
+from whole Grams (``kernels.gram_mutual_coherence``), and no pair list is
+built for it.  For +-1/sqrt(m) matrices the Gram is the exact lattice one, so
 values sit exactly on j/m and ties at a = j/m resolve as 0.
 
 The four Monte-Carlo estimators are selections of one count engine
@@ -19,10 +21,11 @@ asked, the max over all subsets, and counts the trials in which every subset
 of an event exceeds the threshold.  One kernel evaluation per trial serves
 the whole threshold grid, so estimated tail curves are monotone by
 construction, and integer counts accumulate over fixed-size trial chunks, so
-results are invariant to the degree of parallelism.  Within a chunk all
-subsets are evaluated in blocks whose gathered k x k Grams stay under a fixed
-budget (``_BLOCK_BYTES``, 256 MiB), keeping a running maximum; the budget is
-per worker, so threads multiply it.
+results are invariant to the degree of parallelism.  Within a chunk the
+eigen kernels evaluate all subsets in blocks whose gathered k x k Grams stay
+under a fixed budget (``_BLOCK_BYTES``, 256 MiB), keeping a running maximum;
+the budget is per worker, so threads multiply it.  It bounds neither the
+sampled stack nor the n x n Grams (n^2 * 8 bytes per trial).
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -51,7 +54,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .ensembles import EnsembleSpec, sample_batch
-from .kernels import KernelId, gram_coherence, gram_extremes, gram_stack, spectral_value
+from .kernels import KernelId, gram_coherence, gram_extremes, gram_mutual_coherence, gram_stack, spectral_value
 
 DEFAULT_SUBSET_CAP = 1_000_000
 
@@ -108,13 +111,19 @@ def subset_count(n, k):
     return comb(n, k)
 
 
-def subsets(n: int, k: int, cap: int = DEFAULT_SUBSET_CAP):
-    """Lexicographic stream of all sorted size-k subsets of range(n)."""
+def _checked_count(n, k, cap):
+    """C(n, k), refused when k is out of range or the count exceeds cap."""
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     count = comb(n, k)
     if count > cap:
         raise EnumerationInfeasibleError(n, k, count, cap)
+    return count
+
+
+def subsets(n: int, k: int, cap: int = DEFAULT_SUBSET_CAP):
+    """Lexicographic stream of all sorted size-k subsets of range(n)."""
+    _checked_count(n, k, cap)
     return itertools.combinations(range(n), k)
 
 
@@ -131,6 +140,20 @@ def _subsets_array(n, k, cap):
         itertools.chain.from_iterable(subsets(n, k, cap)), dtype=np.int64, count=count * k
     )
     return flat.reshape(count, k)
+
+
+def _every_subset(n, k, kernel: KernelId, cap):
+    """All size-k subsets as an (N, k) array for _max_values; None for coherence.
+
+    The coherence max reads whole Grams, so no pair list is built for it, but
+    k and the cap are checked all the same, before anything is sampled.
+    """
+    if not kernel.needs_pair:
+        return _subsets_array(n, k, cap)
+    _checked_count(n, k, cap)
+    if k != 2:
+        raise ValueError("coherence kernel requires k = 2")
+    return None
 
 
 def _batch_values(grams, kernel: KernelId, subs, rows):
@@ -210,15 +233,19 @@ def _picked_values(grams, kernel: KernelId, picks, subs, rows):
 def _max_values(grams, kernel: KernelId, subs, rows):
     """Per-matrix maximum kernel value over subs -> (B,), as exhaustive evaluation gives it.
 
-    Where gram_extremes runs eigvalsh (eigen kernels, k >= 3) this is an exact
-    branch and bound: in each block, every matrix first evaluates the subset
-    with the highest widened bound (``_subset_reach``), then only the subsets
-    whose widened bound reaches the best value seen so far.  A skipped subset
-    cannot hold the maximum, and eigvalsh gives each k x k Gram the same
-    floats whatever else is in its stack, so the maximum is bit for bit the
-    exhaustive one.
+    For coherence subs is None (see _every_subset) and the max over all pairs
+    is read from whole Grams by kernels.gram_mutual_coherence.  The eigen
+    kernels go in blocks under _BLOCK_BYTES.  Where gram_extremes runs
+    eigvalsh (k >= 3) this is an exact branch and bound: in each block, every
+    matrix first evaluates the subset with the highest widened bound
+    (``_subset_reach``), then only the subsets whose widened bound reaches the
+    best value seen so far.  A skipped subset cannot hold the maximum, and
+    eigvalsh gives each k x k Gram the same floats whatever else is in its
+    stack, so the maximum is bit for bit the exhaustive one.
     """
-    if kernel.needs_pair or subs.shape[1] < 3:
+    if kernel.needs_pair:
+        return gram_mutual_coherence(grams)
+    if subs.shape[1] < 3:
         blocks = _blocks(subs, len(grams))
         return functools.reduce(np.maximum, (_batch_values(grams, kernel, b, rows).max(axis=1) for b in blocks))
     top = np.full(len(grams), -np.inf)
@@ -257,7 +284,7 @@ def max_over_subsets(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CA
     For the coherence kernel this is the mutual coherence of the matrix.
     """
     phi = _checked_matrix(phi)
-    subs = _subsets_array(phi.shape[1], k, cap)
+    subs = _every_subset(phi.shape[1], k, kernel, cap)
     return float(_max_values(gram_stack(phi[None]), kernel, subs, phi.shape[0])[0])
 
 
@@ -319,13 +346,13 @@ def _tail_counts(
         cols, every = np.unique(fixed), None
         fixed = np.searchsorted(cols, fixed)
     else:
-        cols, every = slice(None), _subsets_array(spec.n, k, cap)
+        cols, every = slice(None), _every_subset(spec.n, k, kernel, cap)
 
     def chunk_counts(start, stop):
         # one expression, so the sampled stack is freed once its Gram is built
         grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
         rows = []
-        if every is not None:
+        if cap is not None:
             top = _max_values(grams, kernel, every, spec.m)
             rows.append(np.count_nonzero(top[:, None] > grid, axis=0))
         if events:

@@ -240,6 +240,9 @@ def test_exit_code_infeasible_enumeration(capsys):
     code = _run(["fig-extreme", "--n", "50", "--k", "8", "--trials", "5"])
     assert code == EXIT_INFEASIBLE
     assert "C(50,8)" in capsys.readouterr().err
+    # the coherence max builds no pair list, but C(1415, 2) > 10^6 is refused all the same
+    assert _run(["fig-coherence", "--m", "50", "--n", "1415", "--trials", "512"]) == EXIT_INFEASIBLE
+    assert "C(1415,2)" in capsys.readouterr().err
 
 
 def test_check_exit_codes(tmp_path, monkeypatch):

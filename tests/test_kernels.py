@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from uniontight.bounds import gershgorin_ric
+from uniontight.ensembles import EnsembleSpec, sample_batch
 from uniontight.kernels import (
     COHERENCE,
     NEG_SIGMA_MIN_SQ,
@@ -11,6 +13,9 @@ from uniontight.kernels import (
     SIGMA_MAX_SQ,
     KernelId,
     coherence_kernel,
+    gram_coherence,
+    gram_mutual_coherence,
+    gram_stack,
     indicator,
     kernel_value,
     ric_kernel,
@@ -87,6 +92,58 @@ def test_coherence_kernel_errors():
         coherence_kernel(np.ones((3, 3)))
     with pytest.raises(ValueError, match="degenerate"):
         coherence_kernel(np.column_stack([np.zeros(3), np.ones(3)]))
+    with pytest.raises(ValueError, match="degenerate"):
+        gram_mutual_coherence(gram_stack(np.column_stack([np.ones(3), np.zeros(3), np.ones(3)])[None]))
+
+
+def _pair_max(grams):
+    """The coherence max over the gathered list of all pairs i < j."""
+    pairs = np.array(list(combinations(range(grams.shape[-1]), 2)))
+    return gram_coherence(grams, pairs).max(axis=1)
+
+
+@pytest.mark.parametrize(
+    "ensemble, m, n, trials",
+    [
+        ("gaussian", 7, 12, 40),
+        ("gaussian", 50, 100, 16),   # three Grams per tile, the last tile short
+        ("gaussian", 10, 200, 3),    # one Gram is more than a tile
+        ("gaussian", 5, 2, 40),
+        ("bernoulli", 50, 100, 16),  # unit diagonal
+        ("bernoulli", 6, 9, 40),
+        ("bernoulli", 4, 2, 40),
+    ],
+)
+def test_mutual_coherence_equals_pair_max_bitwise(ensemble, m, n, trials):
+    grams = gram_stack(sample_batch(EnsembleSpec(ensemble, m, n, base_seed=50), 0, trials))
+    assert gram_mutual_coherence(grams).tobytes() == _pair_max(grams).tobytes()
+
+
+def test_mutual_coherence_clips_duplicated_and_negated_columns():
+    base = np.random.default_rng(0).standard_normal((8, 7, 4))
+    mats = np.concatenate([base, 3.0 * base[:, :, :1], -base[:, :, 1:2], base[:, :, 2:3]], axis=2)
+    grams = gram_stack(mats)
+    diag = np.diagonal(grams, axis1=1, axis2=2)
+    raw = np.abs(grams[:, 0, 4]) / np.sqrt(diag[:, 0] * diag[:, 4])
+    assert np.any(raw > 1.0)  # the clip is what keeps these at 1
+    top = gram_mutual_coherence(grams)
+    assert top.tobytes() == _pair_max(grams).tobytes()
+    np.testing.assert_array_equal(top, 1.0)
+
+
+def test_mutual_coherence_divides_unless_every_diagonal_entry_is_one():
+    bernoulli = gram_stack(sample_batch(EnsembleSpec("bernoulli", 6, 10, base_seed=51), 0, 1))
+    gaussian = gram_stack(sample_batch(EnsembleSpec("gaussian", 6, 10, base_seed=51), 0, 1))
+    assert np.all(np.diagonal(bernoulli, axis1=1, axis2=2) == 1.0)
+    assert not np.any(np.diagonal(gaussian, axis1=1, axis2=2) == 1.0)
+    for mixed in (np.concatenate([bernoulli, gaussian]), np.concatenate([gaussian, bernoulli])):
+        assert gram_mutual_coherence(mixed).tobytes() == _pair_max(mixed).tobytes()
+
+
+@pytest.mark.parametrize("ensemble", ["bernoulli", "gaussian"])  # lattice and row-order sums
+def test_gram_stack_is_exactly_symmetric(ensemble):
+    grams = gram_stack(sample_batch(EnsembleSpec(ensemble, 50, 100, base_seed=52), 0, 8))
+    assert grams.tobytes() == np.ascontiguousarray(np.swapaxes(grams, 1, 2)).tobytes()
 
 
 def test_non_finite_entries_rejected():

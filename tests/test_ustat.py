@@ -231,6 +231,10 @@ def test_mc_argument_validation():
         mc_marginal_tail(spec, SIGMA_MAX_SQ, 2, [2.0], trials=10, subset=(1, 1.5))
     with pytest.raises(ValueError):
         mc_joint_tail(spec, SIGMA_MAX_SQ, 2, 2, [1.0], trials=10)
+    with pytest.raises(ValueError, match="coherence kernel requires k = 2"):
+        mc_extreme_tail(spec, COHERENCE, 3, [0.5], trials=10)
+    with pytest.raises(ValueError, match="coherence kernel requires k = 2"):
+        max_over_subsets(np.random.default_rng(1).standard_normal((5, 6)), COHERENCE, 3)
 
 
 def test_subset_count_helper():
@@ -286,6 +290,45 @@ def test_coherence_chunk_memory_is_gram_sized():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2**20
+
+
+def test_coherence_chunk_memory_at_a_thousand_columns():
+    # 16 trials of 50 x 1000: the Gram stack alone is 122 MiB, and gathering
+    # the 499,500 pairs took the peak to 374 MiB
+    spec = EnsembleSpec("bernoulli", 50, 1000, base_seed=7)
+    tracemalloc.start()
+    try:
+        mc_extreme_tail(spec, COHERENCE, 2, [0.5], trials=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * 2**20
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_coherence_max_builds_no_pair_list(monkeypatch):
+    spec = EnsembleSpec("bernoulli", 6, 9, base_seed=33)
+    grid = np.linspace(0.0, 1.0, 7)
+    tops = np.array([subset_values(phi, COHERENCE, 2).max() for phi in sample_batch(spec, 0, 40)])
+    monkeypatch.setattr(ustat, "_subsets_array", _refuse)
+    est = mc_extreme_tail(spec, COHERENCE, 2, grid, trials=40)
+    assert [e.point for e in est] == [np.count_nonzero(tops > a) / 40 for a in grid]
+    phi = sample_batch(spec, 0, 1)[0]
+    assert max_over_subsets(phi, COHERENCE, 2) == tops[0]
+
+
+def test_coherence_cap_refused_before_sampling(monkeypatch):
+    # C(1415, 2) = 1,000,405 is just over the cap
+    monkeypatch.setattr(ustat, "sample_batch", _refuse)
+    monkeypatch.setattr(ustat, "_subsets_array", _refuse)
+    spec = EnsembleSpec("bernoulli", 50, 1415, base_seed=7)
+    with pytest.raises(EnumerationInfeasibleError, match=r"C\(1415,2\) = 1000405"):
+        mc_extreme_tail(spec, COHERENCE, 2, [0.5], trials=512)
+    with pytest.raises(EnumerationInfeasibleError):
+        max_over_subsets(np.ones((2, 1415)), COHERENCE, 2)
 
 
 class _RecordingPool:
