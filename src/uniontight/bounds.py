@@ -111,9 +111,8 @@ def marginal_bound(side: str, a: float, k: int, m: int, tau: float, permissive=F
     _check_side(side)
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1) for the divergence term, got {tau}")
-    if not permissive:
-        _check_marginal_domain(side, a, k, tau)
-    return min(k * _sat_exp(-m * divergence(a / k, tau)), LARGE)
+    exponent = _marginal_divergence(side, a, k, tau, permissive)
+    return min(k * _sat_exp(-m * exponent), LARGE)
 
 
 def c4_constant(a: float, k: int, c1: float, c2: float) -> float:
@@ -165,26 +164,19 @@ def joint_bound(
     c1 = tau_q / tau_p and c2 = tau_p^2 / tau_q from the preset; side
     domains mirror the marginal bound.
     """
-    _check_side(side)
-    tau_p, c1, c2 = _joint_constants(side, preset)
-    if not permissive:
-        _check_marginal_domain(side, a, k, tau_p)
-    if not 0.0 < c1 < 1.0:
-        raise ValueError(
-            f"sub-constant c1 = tau_q/tau_p = {c1:.6g} must be in (0, 1) "
-            "for the divergence term (requires k > beta for moment presets)"
-        )
-    exponent = divergence(a / k, c1) + c3_constant(a, k, c1, c2)
+    exponent = joint_halved_exponent(side, a, k, preset, permissive)
     return min(k * k * _sat_exp(-2.0 * m * exponent), LARGE)
+
+
+def _marginal_divergence(side, a, k, tau, permissive):
+    if not permissive:
+        _check_marginal_domain(side, a, k, tau)
+    return divergence(a / k, tau)
 
 
 def marginal_exponent(side: str, a: float, k: int, preset: TauPreset, permissive=False) -> float:
     """Marginal-bound exponent D(a/k || tau_p) after factoring out -m."""
-    _check_side(side)
-    tau_p = preset.tau_p(side)
-    if not permissive:
-        _check_marginal_domain(side, a, k, tau_p)
-    return divergence(a / k, tau_p)
+    return _marginal_divergence(side, a, k, preset.tau_p(side), permissive)
 
 
 def joint_halved_exponent(side: str, a: float, k: int, preset: TauPreset, permissive=False) -> float:
@@ -194,7 +186,10 @@ def joint_halved_exponent(side: str, a: float, k: int, preset: TauPreset, permis
     if not permissive:
         _check_marginal_domain(side, a, k, tau_p)
     if not 0.0 < c1 < 1.0:
-        raise ValueError(f"sub-constant c1 = {c1:.6g} must be in (0, 1)")
+        raise ValueError(
+            f"sub-constant c1 = tau_q/tau_p = {c1:.6g} must be in (0, 1) "
+            "for the divergence term (requires k > beta for moment presets)"
+        )
     return divergence(a / k, c1) + c3_constant(a, k, c1, c2)
 
 

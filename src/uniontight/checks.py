@@ -39,7 +39,7 @@ class CheckResult:
 
 def _ci_guard(trials):
     if trials < MIN_CI_TRIALS:
-        return CheckResult("", SKIPPED, f"needs trials >= {MIN_CI_TRIALS}, got {trials}")
+        return SKIPPED, f"needs trials >= {MIN_CI_TRIALS}, got {trials}"
     return None
 
 
@@ -78,7 +78,7 @@ def check_ensemble_exactness(trials, seed):
 def check_ensemble_moments(trials, seed):
     guard = _ci_guard(trials)
     if guard:
-        return guard.status, guard.detail
+        return guard
     spec = EnsembleSpec("gaussian", 10, 1, seed)
     cols = sample_batch(spec, 0, trials)[:, :, 0]
     sq = np.sum(cols**2, axis=1)
@@ -147,7 +147,7 @@ def check_ustat_structure(trials, seed):
 def check_ustat_binomial(trials, seed):
     guard = _ci_guard(trials)
     if guard:
-        return guard.status, guard.detail
+        return guard
     # for k = 1, gaussian, m = 2: ||col||^2 ~ Exp(1), so p(a) = e^-a exactly
     spec = EnsembleSpec("gaussian", 2, 5, seed)
     a = 0.8
@@ -166,7 +166,7 @@ def check_ustat_binomial(trials, seed):
 def check_ustat_exchangeability(trials, seed):
     guard = _ci_guard(trials)
     if guard:
-        return guard.status, guard.detail
+        return guard
     spec = EnsembleSpec("gaussian", 5, 8, seed)
     grid = [1.2, 1.8, 2.4]
     lead = ustat.mc_marginal_tail(spec, SIGMA_MAX_SQ, 2, grid, trials)
@@ -270,7 +270,7 @@ def check_lemma_trace_exp(trials, seed):
 def check_prop2_trace_moment(trials, seed):
     guard = _ci_guard(trials)
     if guard:
-        return guard.status, guard.detail
+        return guard
     rng = np.random.default_rng(seed)
     k = 6
     for family in ("bernoulli", "gaussian"):

@@ -1,10 +1,13 @@
 """Batch CLI: figure-style CSV emission, bound tables and self checks.
 
 Subcommands: ``fig-extreme``, ``fig-rates``, ``fig-coherence``,
-``bounds-table``, ``check``.  Option precedence is flags > config file
-(flat ``key = value`` lines, keys matching flag names with dashes replaced
-by underscores) > built-in defaults.  The default seed may also be supplied
-through the UNIONTIGHT_SEED environment variable.
+``bounds-table``, ``check``.  Two tables declare the options: ``_TYPES``
+gives each option's type or choices, and ``_COMMANDS`` gives each
+subcommand its runner and the defaults of the options it reads, and of no
+others.  Option precedence is flags > config file (flat ``key = value``
+lines, keys matching flag names with dashes replaced by underscores, checked
+like the flags) > built-in defaults.  Subcommands that take ``--seed`` read
+its default from the UNIONTIGHT_SEED environment variable when it is set.
 
 Exit codes: 0 success, 1 invalid configuration, 2 infeasible enumeration,
 3 self-check failure.
@@ -70,8 +73,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_OPTION_TYPES = {
-    "ensemble": str,
+# option -> int/float/str, bool for a switch, or a tuple of string choices
+_TYPES = {
+    "ensemble": FAMILIES,
     "m": int,
     "n": int,
     "k": int,
@@ -84,7 +88,7 @@ _OPTION_TYPES = {
     "threads": int,
     "out": str,
     "permissive": bool,
-    "kernel": str,
+    "kernel": ("sigma_max_sq", "neg_sigma_min_sq"),
     "k_min": int,
     "k_max": int,
     "beta": float,
@@ -95,122 +99,26 @@ _OPTION_TYPES = {
     "beta_bar": float,
 }
 
-_DEFAULTS = {
-    "fig-extreme": {
-        "ensemble": "gaussian",
-        "m": 5,
-        "n": 10,
-        "k": 2,
-        "trials": 20_000,
-        "a_steps": 60,
-        "threads": 1,
-        "out": "-",
-        "kernel": "sigma_max_sq",
-        "permissive": False,
-    },
-    "fig-rates": {
-        "ensemble": "bernoulli",
-        "k_min": 4,
-        "k_max": 20,
-        "a_min": 0.05,
-        "a_max": 3.0,
-        "a_steps": 60,
-        "a_fixed_max": 1.5,
-        "a_fixed_min": 0.5,
-        "out": "-",
-        "permissive": False,
-    },
-    "fig-coherence": {
-        "ensemble": "bernoulli",
-        "m": 50,
-        "n": 100,
-        "k": 2,
-        "trials": 5_000,
-        "a_min": 0.1,
-        "a_max": 0.9,
-        "a_steps": 60,
-        "threads": 1,
-        "out": "-",
-    },
-    "bounds-table": {
-        "ensemble": "bernoulli",
-        "m": 100,
-        "n": 1000,
-        "k": 8,
-        "a_min": 0.1,
-        "a_max": 3.0,
-        "a_steps": 60,
-        "eps_const": 0.5,
-        "beta_bar": 1.0,
-        "out": "-",
-        "permissive": False,
-    },
-    "check": {"trials": 2_000, "out": "-"},
-}
-
 
 def build_parser():
     parser = _Parser(prog="uniontight", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, extra=()):
+    for name, (_, help_text, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--ensemble", choices=FAMILIES)
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--a-min", type=float, dest="a_min")
-        p.add_argument("--a-max", type=float, dest="a_max")
-        p.add_argument("--a-steps", type=int, dest="a_steps")
-        p.add_argument("--overlap", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--permissive", action="store_true", default=None)
-        for args, kwargs in extra:
-            p.add_argument(*args, **kwargs)
-        return p
-
-    add(
-        "fig-extreme",
-        "extreme/marginal/joint tails with the Poisson approximation columns",
-        extra=(
-            (
-                ("--kernel",),
-                {"choices": ("sigma_max_sq", "neg_sigma_min_sq"), "dest": "kernel"},
-            ),
-        ),
-    )
-    add(
-        "fig-rates",
-        "marginal vs halved joint exponents over threshold and subset-size grids",
-        extra=(
-            (("--k-min",), {"type": int, "dest": "k_min"}),
-            (("--k-max",), {"type": int, "dest": "k_max"}),
-            (("--beta",), {"type": float, "dest": "beta"}),
-            (("--beta-prime",), {"type": float, "dest": "beta_prime"}),
-            (("--a-fixed-max",), {"type": float, "dest": "a_fixed_max"}),
-            (("--a-fixed-min",), {"type": float, "dest": "a_fixed_min"}),
-        ),
-    )
-    add("fig-coherence", "mutual-coherence tail vs the union-bound prediction")
-    add(
-        "bounds-table",
-        "closed-form bound curves as label/a/value/vacuous rows",
-        extra=(
-            (("--eps-const",), {"type": float, "dest": "eps_const"}),
-            (("--beta",), {"type": float, "dest": "beta"}),
-            (("--beta-prime",), {"type": float, "dest": "beta_prime"}),
-            (("--beta-bar",), {"type": float, "dest": "beta_bar"}),
-        ),
-    )
-    add("check", "run the invariant suites and emit a machine-readable report")
+        for key in defaults:
+            flag, kind = "--" + key.replace("_", "-"), _TYPES[key]
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind)
+            else:
+                p.add_argument(flag, type=kind)
     return parser
 
 
-def _parse_config_file(path):
+def _parse_config_file(path, options):
+    """Values of a flat key=value file, checked like the flags of ``options``."""
     values = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -225,14 +133,18 @@ def _parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _OPTION_TYPES:
+        if key not in options:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        kind = _OPTION_TYPES[key]
+        kind = _TYPES[key]
         try:
             if kind is bool:
                 if raw.lower() not in ("true", "false", "1", "0"):
                     raise ValueError("expected true/false")
                 values[key] = raw.lower() in ("true", "1")
+            elif isinstance(kind, tuple):
+                if raw not in kind:
+                    raise ValueError(f"expected one of {', '.join(kind)}")
+                values[key] = raw
             else:
                 values[key] = kind(raw)
         except ValueError as exc:
@@ -240,10 +152,10 @@ def _parse_config_file(path):
     return values
 
 
-def _env_seed():
+def _env_seed(default):
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return 0
+        return default
     try:
         return int(raw)
     except ValueError as exc:
@@ -251,37 +163,27 @@ def _env_seed():
 
 
 def _merge_config(args):
-    cfg = dict(_DEFAULTS[args.command])
-    cfg.setdefault("seed", _env_seed())
+    defaults = _COMMANDS[args.command][2]
+    cfg = dict(defaults)
+    if "seed" in cfg:
+        cfg["seed"] = _env_seed(cfg["seed"])
     if args.config:
-        for key, value in _parse_config_file(args.config).items():
-            cfg[key] = value
-    for key in _OPTION_TYPES:
-        value = getattr(args, key, None)
+        cfg.update(_parse_config_file(args.config, defaults))
+    for key in defaults:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
 
 
-def _require(cfg, *keys):
-    for key in keys:
-        if cfg.get(key) is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-
-
 def _validate_common(cfg):
-    if "trials" in cfg and cfg["trials"] is not None and cfg["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
-    if cfg.get("threads") is not None and cfg["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
-    if cfg.get("a_min") is not None and cfg.get("a_max") is not None:
-        if not cfg["a_min"] < cfg["a_max"]:
-            raise ConfigError("a-min must be strictly below a-max")
-    if cfg.get("a_steps") is not None and cfg["a_steps"] < 2:
-        raise ConfigError("a-steps must be >= 2")
-    for key in ("m", "n", "k"):
-        if cfg.get(key) is not None and cfg[key] < 1:
+    for key in ("trials", "threads", "m", "n", "k"):
+        if key in cfg and cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
+    if not cfg["a_min"] < cfg["a_max"]:
+        raise ConfigError("a-min must be strictly below a-max")
+    if cfg["a_steps"] < 2:
+        raise ConfigError("a-steps must be >= 2")
 
 
 def _fmt(value):
@@ -298,15 +200,30 @@ def _fmt(value):
     return str(value)
 
 
-def _emit_csv(out, header, rows):
-    text = ",".join(header) + "\n" + "".join(
-        ",".join(_fmt(cell) for cell in row) + "\n" for row in rows
-    )
+def _write(out, text):
     if out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+def _emit_csv(out, header, rows):
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(_fmt(cell) for cell in row) + "\n" for row in rows
+    )
+    _write(out, text)
+
+
+def _preset(cfg, k):
+    """--beta / --beta-prime, each falling back to the ensemble's moment preset."""
+    beta, beta_prime, family = cfg["beta"], cfg["beta_prime"], cfg["ensemble"]
+    return TauPreset.from_moment_scaling(
+        FAMILY_BETA[family] if beta is None else beta,
+        1.0 if beta_prime is None else beta_prime,
+        k,
+        family if beta is None and beta_prime is None else "custom",
+    )
 
 
 def _grid(cfg):
@@ -317,14 +234,13 @@ def run_fig_extreme(cfg):
     kernel = KernelId(cfg["kernel"])
     spec = EnsembleSpec(cfg["ensemble"], cfg["m"], cfg["n"], cfg["seed"])
     k = cfg["k"]
-    if cfg.get("a_min") is None or cfg.get("a_max") is None:
-        lo, hi = (1.0, 6.0) if kernel.variant == "sigma_max_sq" else (0.005, 1.0)
-        cfg.setdefault("a_min", lo)
-        cfg.setdefault("a_max", hi)
+    lo, hi = (1.0, 6.0) if kernel.variant == "sigma_max_sq" else (0.005, 1.0)
+    cfg["a_min"] = lo if cfg["a_min"] is None else cfg["a_min"]
+    cfg["a_max"] = hi if cfg["a_max"] is None else cfg["a_max"]
     _validate_common(cfg)
     grid = _grid(cfg)
     all_overlaps = [i for i in range(1, k) if 2 * k - i <= spec.n]
-    if cfg.get("overlap") is not None:
+    if cfg["overlap"] is not None:
         if cfg["overlap"] not in all_overlaps:
             raise ConfigError(
                 f"overlap must be one of {all_overlaps} for k={k}, n={spec.n}"
@@ -370,30 +286,18 @@ def run_fig_extreme(cfg):
 
 def run_fig_rates(cfg):
     _validate_common(cfg)
-    if cfg.get("k_min", 1) < 2:
+    if cfg["k_min"] < 2:
         raise ConfigError("k-min must be >= 2")
     if cfg["k_max"] < cfg["k_min"]:
         raise ConfigError("k-max must be >= k-min")
-    beta = cfg.get("beta")
-    beta_prime = cfg.get("beta_prime")
-    family = cfg["ensemble"]
-    if beta is None and beta_prime is None:
-        beta, beta_prime = FAMILY_BETA[family], 1.0
-    else:
-        beta = beta if beta is not None else FAMILY_BETA[family]
-        beta_prime = beta_prime if beta_prime is not None else 1.0
-        family = "custom"
-    permissive = bool(cfg.get("permissive"))
+    permissive = cfg["permissive"]
     grid = np.unique(
         np.concatenate([_grid(cfg), [cfg["a_fixed_min"], cfg["a_fixed_max"]]])
     )
     header = ["k", "a", "side", "marginal_exponent", "joint_halved_exponent"]
     rows = []
     for k in range(cfg["k_min"], cfg["k_max"] + 1):
-        try:
-            preset = TauPreset.from_moment_scaling(beta, beta_prime, k, family)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        preset = _preset(cfg, k)
         for a in grid:
             for side in ("max", "min"):
                 try:
@@ -410,8 +314,6 @@ def run_fig_rates(cfg):
 
 
 def run_fig_coherence(cfg):
-    if cfg.get("k", 2) != 2:
-        raise ConfigError("fig-coherence is defined for k = 2 only")
     _validate_common(cfg)
     if cfg["a_min"] <= 0.0:
         raise ConfigError("a-min must be positive (the Gaussian proxy needs a > 0)")
@@ -445,19 +347,9 @@ def run_fig_coherence(cfg):
 
 def run_bounds_table(cfg):
     _validate_common(cfg)
-    family = cfg["ensemble"]
-    beta = cfg.get("beta")
-    beta_prime = cfg.get("beta_prime")
-    if beta is None and beta_prime is None:
-        preset = TauPreset.for_family(family, cfg["k"])
-    else:
-        preset = TauPreset.from_moment_scaling(
-            beta if beta is not None else FAMILY_BETA[family],
-            beta_prime if beta_prime is not None else 1.0,
-            cfg["k"],
-        )
-    permissive = bool(cfg.get("permissive"))
     k, m, n = cfg["k"], cfg["m"], cfg["n"]
+    preset = _preset(cfg, k)
+    permissive = cfg["permissive"]
     header = ["label", "a", "value", "vacuous"]
     rows = []
 
@@ -501,7 +393,7 @@ def run_bounds_table(cfg):
     curve(
         "concentration_tail",
         None,
-        lambda: concentration_tail(cfg["eps_const"], family),
+        lambda: concentration_tail(cfg["eps_const"], cfg["ensemble"]),
     )
     _emit_csv(cfg["out"], header, rows)
     return EXIT_OK
@@ -520,36 +412,96 @@ def run_check(cfg):
         "failures": failures,
         "skipped": skipped,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if cfg["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    _write(cfg["out"], json.dumps(report, indent=2) + "\n")
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
+# subcommand -> (runner, help, {option: default}); None where there is no default
 _COMMANDS = {
-    "fig-extreme": run_fig_extreme,
-    "fig-rates": run_fig_rates,
-    "fig-coherence": run_fig_coherence,
-    "bounds-table": run_bounds_table,
-    "check": run_check,
+    "fig-extreme": (
+        run_fig_extreme,
+        "extreme/marginal/joint tails with the Poisson approximation columns",
+        {
+            "ensemble": "gaussian",
+            "m": 5,
+            "n": 10,
+            "k": 2,
+            "trials": 20_000,
+            "seed": 0,
+            "a_min": None,
+            "a_max": None,
+            "a_steps": 60,
+            "overlap": None,
+            "threads": 1,
+            "out": "-",
+            "kernel": "sigma_max_sq",
+        },
+    ),
+    "fig-rates": (
+        run_fig_rates,
+        "marginal vs halved joint exponents over threshold and subset-size grids",
+        {
+            "ensemble": "bernoulli",
+            "a_min": 0.05,
+            "a_max": 3.0,
+            "a_steps": 60,
+            "out": "-",
+            "permissive": False,
+            "k_min": 4,
+            "k_max": 20,
+            "beta": None,
+            "beta_prime": None,
+            "a_fixed_max": 1.5,
+            "a_fixed_min": 0.5,
+        },
+    ),
+    "fig-coherence": (
+        run_fig_coherence,
+        "mutual-coherence tail vs the union-bound prediction",
+        {
+            "ensemble": "bernoulli",
+            "m": 50,
+            "n": 100,
+            "trials": 5_000,
+            "seed": 0,
+            "a_min": 0.1,
+            "a_max": 0.9,
+            "a_steps": 60,
+            "threads": 1,
+            "out": "-",
+        },
+    ),
+    "bounds-table": (
+        run_bounds_table,
+        "closed-form bound curves as label/a/value/vacuous rows",
+        {
+            "ensemble": "bernoulli",
+            "m": 100,
+            "n": 1000,
+            "k": 8,
+            "a_min": 0.1,
+            "a_max": 3.0,
+            "a_steps": 60,
+            "out": "-",
+            "permissive": False,
+            "eps_const": 0.5,
+            "beta": None,
+            "beta_prime": None,
+            "beta_bar": 1.0,
+        },
+    ),
+    "check": (
+        run_check,
+        "run the invariant suites and emit a machine-readable report",
+        {"trials": 2_000, "seed": 0, "out": "-"},
+    ),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _merge_config(args)
-        if args.command == "fig-extreme":
-            _require(cfg, "m", "n", "k", "trials")
-        elif args.command == "fig-coherence":
-            _require(cfg, "m", "n", "trials")
-        elif args.command == "bounds-table":
-            _require(cfg, "m", "n", "k")
-        return _COMMANDS[args.command](cfg)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_merge_config(args))
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

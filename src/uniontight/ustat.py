@@ -54,7 +54,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .ensembles import EnsembleSpec, sample_batch
-from .kernels import KernelId, gram_coherence, gram_extremes, gram_mutual_coherence, gram_stack, spectral_value
+from .kernels import KernelId, _checked, gram_coherence, gram_extremes, gram_mutual_coherence, gram_stack, spectral_value
 
 DEFAULT_SUBSET_CAP = 1_000_000
 
@@ -125,13 +125,6 @@ def subsets(n: int, k: int, cap: int = DEFAULT_SUBSET_CAP):
     """Lexicographic stream of all sorted size-k subsets of range(n)."""
     _checked_count(n, k, cap)
     return itertools.combinations(range(n), k)
-
-
-def _checked_matrix(phi):
-    phi = np.asarray(phi, dtype=np.float64)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("matrix contains non-finite entries")
-    return phi
 
 
 def _subsets_array(n, k, cap):
@@ -266,7 +259,7 @@ def _max_values(grams, kernel: KernelId, subs, rows):
 
 def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
     """Kernel values of one matrix over all size-k subsets, enumeration order."""
-    phi = _checked_matrix(phi)
+    phi = _checked(phi)
     grams = gram_stack(phi[None])
     subs = _subsets_array(phi.shape[1], k, cap)
     return np.concatenate([_batch_values(grams, kernel, b, phi.shape[0])[0] for b in _blocks(subs, 1)])
@@ -283,7 +276,7 @@ def max_over_subsets(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CA
 
     For the coherence kernel this is the mutual coherence of the matrix.
     """
-    phi = _checked_matrix(phi)
+    phi = _checked(phi)
     subs = _every_subset(phi.shape[1], k, kernel, cap)
     return float(_max_values(gram_stack(phi[None]), kernel, subs, phi.shape[0])[0])
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,15 @@ import pytest
 from uniontight import checks
 from uniontight.ensembles import EnsembleSpec, sample_batch
 from uniontight.cli import (
+    _COMMANDS,
+    _TYPES,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
     SEED_ENV_VAR,
+    _parse_config_file,
+    build_parser,
     main,
 )
 
@@ -291,6 +297,86 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("bogus = 1\n")
     assert _run(["fig-extreme", "--config", str(cfg)]) == EXIT_CONFIG
     assert "unknown option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("fig-extreme", "kernel = ric"),
+        ("fig-extreme", "kernel = coherence"),
+        ("fig-rates", "ensemble = laplace"),
+    ],
+)
+def test_config_file_checks_choices(tmp_path, capsys, command, line):
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text(line + "\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "never.csv")]
+    assert _run(args) == EXIT_CONFIG
+    assert "bad value for" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_config_file_rejects_keys_of_other_subcommands(tmp_path, capsys):
+    cfg = tmp_path / "foreign.cfg"
+    cfg.write_text("trials = 5\n")
+    assert _run(["fig-rates", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown option 'trials'" in capsys.readouterr().err
+
+
+_REMOVED_FLAGS = [
+    ("fig-extreme", "--permissive"),
+    *(("fig-rates", flag) for flag in
+      ("--m", "--n", "--k", "--trials", "--seed", "--overlap", "--threads")),
+    *(("fig-coherence", flag) for flag in ("--k", "--overlap", "--permissive")),
+    *(("bounds-table", flag) for flag in ("--trials", "--seed", "--overlap", "--threads")),
+    *(("check", flag) for flag in
+      ("--ensemble", "--m", "--n", "--k", "--a-min", "--a-max", "--a-steps",
+       "--overlap", "--threads", "--permissive")),
+]
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_FLAGS)
+def test_subcommands_refuse_options_they_do_not_read(capsys, command, flag):
+    value = {"--permissive": [], "--ensemble": ["gaussian"]}.get(flag, ["2"])
+    assert _run([command, flag, *value]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+
+
+def _parser_options(command):
+    return set(vars(build_parser().parse_args([command]))) - {"command", "config"}
+
+
+def test_parser_options_equal_config_keys(tmp_path):
+    sample = {bool: "true", int: "1", float: "1.0", str: "x"}
+    for command, (_, _, defaults) in _COMMANDS.items():
+        accepted = set()
+        for key, kind in _TYPES.items():
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {kind[0] if isinstance(kind, tuple) else sample[kind]}\n")
+            try:
+                accepted |= set(_parse_config_file(cfg, defaults))
+            except ValueError as exc:
+                assert "unknown option" in str(exc)
+        assert accepted == _parser_options(command), command
+
+
+def test_readme_lists_each_subcommand_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = {}
+    for item in re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |^\s*$)", readme, re.M | re.S):
+        listed[item[0]] = set(re.findall(r"`(--[a-z-]+)`", item[1]))
+    for command in _COMMANDS:
+        flags = {"--" + dest.replace("_", "-") for dest in _parser_options(command)}
+        assert listed.get(command) == flags, command
+
+
+def test_seed_env_var_ignored_without_seed_option(tmp_path, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    grid = ["--a-min", "0.5", "--a-max", "1.5", "--a-steps", "3"]
+    out = str(tmp_path / "t.csv")
+    assert _run(["fig-rates", "--k-min", "4", "--k-max", "5", *grid, "--out", out]) == EXIT_OK
+    assert _run(["bounds-table", *grid, "--out", out]) == EXIT_OK
+    assert _run(["fig-coherence", "--trials", "1", *grid, "--out", out]) == EXIT_CONFIG
 
 
 def test_seed_env_var_used_as_default(tmp_path, monkeypatch):

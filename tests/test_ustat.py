@@ -78,6 +78,20 @@ def test_max_over_subsets_brute_force_oracle():
     assert max_over_subsets(phi, RIC, 2) == pytest.approx(brute, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda phi: subset_values(phi, RIC, 2), id="subset_values"),
+        pytest.param(lambda phi: u_statistic(phi, RIC, 2, 0.5), id="u_statistic"),
+        pytest.param(lambda phi: max_over_subsets(phi, RIC, 2), id="max_over_subsets"),
+    ],
+)
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 3, 4)], ids=["1d", "no_rows", "3d"])
+def test_matrix_functions_refuse_non_matrices(call, shape):
+    with pytest.raises(ValueError, match="nonempty 2-d"):
+        call(np.ones(shape))
+
+
 def test_zero_u_statistic_iff_max_below_threshold():
     spec = EnsembleSpec("gaussian", 4, 6, base_seed=21)
     rng = np.random.default_rng(21)
