@@ -173,7 +173,19 @@ def _merge_config(args):
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
+    _check_out(cfg["out"])
     return cfg
+
+
+def _check_out(out):
+    """Refuse an --out path that cannot be written, before any work is done."""
+    if out == "-":
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    target = out if os.path.exists(out) else folder
+    named = os.path.basename(out) and not os.path.isdir(out)
+    if not named or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write --out {out!r}")
 
 
 def _validate_common(cfg):
@@ -400,6 +412,8 @@ def run_bounds_table(cfg):
 
 
 def run_check(cfg):
+    if cfg["trials"] < 1:
+        raise ConfigError("trials must be >= 1")
     results = checks.run_all(trials=cfg["trials"], seed=cfg["seed"])
     failures = sum(1 for r in results if r.status == checks.FAIL)
     skipped = sum(1 for r in results if r.status == checks.SKIPPED)

@@ -30,16 +30,17 @@ sampled stack nor the n x n Grams (n^2 * 8 bytes per trial).
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
 for the eigen kernels at k >= 3; at k <= 2 the closed form is cheaper than any
-bound and every subset is evaluated.  Each subset gets a bound read pair by
-pair from the Gram: sigma2_max <= min(max_i (G_ii + R_i), ||G_S||_F) with R_i
-the Gershgorin radius of row i, sigma2_min >= max(0, min_i (G_ii - R_i),
-tr G_S - (k-1) ub_smax), and the kernel's value at those bounds.  A subset is
-decomposed only when its bound, widened by 1e-9 of |bound| + ub_smax for
-rounding, reaches a value already computed for that matrix, so the maximum
-and every count are exactly those of exhaustive evaluation.  On 10 x 20
-Gaussian matrices at k = 4 about 3% of subsets are decomposed for ``ric`` and
-``sigma_max_sq``, while the sigma2_min bound is weak and leaves about 94% for
-``neg_sigma_min_sq``.
+bound and every subset is evaluated.  Each subset's extreme eigenvalues are
+bounded by bordering its lexicographic prefixes, from the 1 x 1 diagonal up to
+k (``_bordered_bounds``; Horn & Johnson, *Matrix Analysis*, ch. 4), and the
+subset gets the kernel's value at those bounds.  A subset is decomposed only
+when its bound, widened by 1e-9 of |bound| + ub_smax for rounding, reaches a
+value already computed for that matrix, so the maximum and every count are
+exactly those of exhaustive evaluation.  On
+10 x 20 Gaussian matrices at k = 4 (128 trials, seed 7) 0.38% of subsets are
+decomposed for ``ric`` and ``sigma_max_sq``, and 83% for ``neg_sigma_min_sq``,
+where most lower bounds on sigma2_min still sit below the smallest sigma2_min
+found.
 """
 
 from __future__ import annotations
@@ -172,46 +173,67 @@ def _blocks(subs, matrices):
     return (subs[start : start + step] for start in range(0, len(subs), step))
 
 
-def _spectral_bounds(flat, n, subs, rows):
+def _bordered_bounds(flat, n, subs, rows):
     """(lb_smin, ub_smax), each (B, N): bounds on the extreme eigenvalues of subsets.
 
-    flat: (B, n * n) Grams; the entries of each subset's Gram are read pair
-    by pair, never gathered as k x k blocks.  sigma2_max is at most
-    min(max_i (G_ii + R_i), ||G_S||_F), R_i the Gershgorin radius of row i,
-    and sigma2_min at least max(0, min_i (G_ii - R_i), tr G_S - (k-1) ub_smax),
-    or exactly 0 when k > m.
+    flat: (B, n * n) Grams.  A subset S with lexicographic prefix T (its first
+    k - 1 indices) and last index s has Gram [[G_T, b], [b^T, c]], c = G_ss,
+    and for any U >= lambda_max(G_T) and L <= lambda_min(G_T)
+
+        lambda_max(G_S) <= (U + c)/2 + sqrt(((U - c)/2)^2 + ||b||^2)
+        lambda_min(G_S) >= (L + c)/2 - sqrt(((L - c)/2)^2 + ||b||^2),
+
+    both monotone in U and L, so a prefix's bounds may stand in for its
+    eigenvalues.  The bounds are built level by level from the 1 x 1
+    diagonal.  Each level's table holds one row per prefix that occurs in
+    subs, read at the rows where the prefix differs from the previous one;
+    a cumulative sum over those rows gives each subset the rank of its
+    prefix.  sigma2_min is bounded by 0 from below, and is exactly 0 when
+    k > m.
     """
     k = subs.shape[1]
-    diag = [flat[:, subs[:, i] * (n + 1)] for i in range(k)]
-    radius = [np.zeros_like(diag[0]) for _ in range(k)]
-    frob_sq = functools.reduce(np.add, (d * d for d in diag))
-    for i, j in itertools.combinations(range(k), 2):
-        entry = np.abs(flat[:, subs[:, i] * n + subs[:, j]])
-        radius[i] += entry
-        radius[j] += entry
-        frob_sq += 2.0 * entry * entry
-    ub_smax = np.minimum(functools.reduce(np.maximum, map(np.add, diag, radius)), np.sqrt(frob_sq))
+    fresh = np.zeros(len(subs), dtype=bool)
+    fresh[0] = True
+    for j in range(k):
+        last = subs[:, j]
+        fresh[1:] |= last[1:] != last[:-1]
+        starts = np.flatnonzero(fresh)
+        s = last[starts]
+        c = flat[:, s * (n + 1)]
+        if j == 0:
+            lower, upper = c, c
+        else:
+            edge = flat[:, subs[starts, :j] * n + s[:, None]]
+            b_sq = np.einsum("bpj,bpj->bp", edge, edge)
+            parent = rank[starts]
+            upper = upper[:, parent]
+            half = 0.5 * (upper - c)
+            upper -= half - np.sqrt(half * half + b_sq)
+            if k <= rows:
+                lower = lower[:, parent]
+                half = 0.5 * (lower - c)
+                lower -= half + np.sqrt(half * half + b_sq)
+        rank = np.cumsum(fresh) - 1
     if k > rows:
-        return np.zeros_like(ub_smax), ub_smax
-    lb_smin = functools.reduce(np.minimum, map(np.subtract, diag, radius))
-    lb_smin = np.maximum(lb_smin, functools.reduce(np.add, diag) - (k - 1) * ub_smax)
-    return np.maximum(lb_smin, 0.0), ub_smax
+        return np.zeros_like(upper), upper
+    return np.maximum(lower, 0.0), upper
 
 
 def _subset_reach(grams, kernel: KernelId, subs, rows):
     """(B, N) upper bounds on the kernel values of subs, widened for rounding.
 
-    The bound is spectral_value at (lb_smin, ub_smax), plus _BOUND_MARGIN
-    times |bound| + ub_smax, which covers rounding in the bound and in
-    eigvalsh.  Computed in slices of _SLICE_BYTES per (B, slice) array, so
-    the temporaries stay in cache.
+    The bound is spectral_value at the bordered-prefix bounds (lb_smin,
+    ub_smax) of ``_bordered_bounds``, plus _BOUND_MARGIN times
+    |bound| + ub_smax, which covers rounding in the bound and in eigvalsh.
+    Computed in slices of _SLICE_BYTES per (B, slice) array, so the
+    temporaries and the prefix tables stay in cache.
     """
     n = grams.shape[-1]
     flat = grams.reshape(len(grams), n * n)
     reach = np.empty((len(grams), len(subs)))
     step = max(1, _SLICE_BYTES // (len(grams) * 8))
     for start in range(0, len(subs), step):
-        lb_smin, ub_smax = _spectral_bounds(flat, n, subs[start : start + step], rows)
+        lb_smin, ub_smax = _bordered_bounds(flat, n, subs[start : start + step], rows)
         bound = spectral_value(kernel, lb_smin, ub_smax)
         reach[:, start : start + step] = bound + _BOUND_MARGIN * (np.abs(bound) + ub_smax)
     return reach
@@ -230,9 +252,9 @@ def _max_values(grams, kernel: KernelId, subs, rows):
     is read from whole Grams by kernels.gram_mutual_coherence.  The eigen
     kernels go in blocks under _BLOCK_BYTES.  Where gram_extremes runs
     eigvalsh (k >= 3) this is an exact branch and bound: in each block, every
-    matrix first evaluates the subset with the highest widened bound
-    (``_subset_reach``), then only the subsets whose widened bound reaches the
-    best value seen so far.  A skipped subset cannot hold the maximum, and
+    matrix first evaluates the subset with the highest widened bordered-prefix
+    bound (``_subset_reach``), then only the subsets whose widened bound
+    reaches the best value seen so far.  A skipped subset cannot hold the maximum, and
     eigvalsh gives each k x k Gram the same floats whatever else is in its
     stack, so the maximum is bit for bit the exhaustive one.
     """

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uniontight import checks
+from uniontight import checks, ustat
 from uniontight.ensembles import EnsembleSpec, sample_batch
 from uniontight.cli import (
     _COMMANDS,
@@ -265,6 +265,31 @@ def test_check_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(checks, "GROUPS", (("forced", broken),))
     assert _run(["check", "--trials", "10", "--out", str(out)]) == EXIT_CHECK_FAILED
     assert json.loads(out.read_text())["failures"] == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_refuses_trials_below_one(tmp_path, capsys, trials):
+    out = tmp_path / "report.json"
+    assert _run(["check", "--trials", trials, "--out", str(out)]) == EXIT_CONFIG
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_refused_before_sampling(tmp_path, monkeypatch, capsys):
+    sampled = []
+
+    def recording(*args, **kwargs):
+        sampled.append(args)
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ustat, "sample_batch", recording)
+    args = ["fig-extreme", "--n", "6", "--trials", "10"]
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert _run([*args, "--out", str(out)]) == EXIT_CONFIG
+        assert "cannot write --out" in capsys.readouterr().err
+    assert sampled == []
+    assert _run([*args, "--out", "-"]) == EXIT_OK
+    assert sampled
 
 
 def test_config_file_and_flag_precedence(tmp_path):

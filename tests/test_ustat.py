@@ -498,3 +498,65 @@ def test_pruning_skips_most_eigendecompositions(monkeypatch, kernel):
     spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
     mc_extreme_tail(spec, kernel, 4, [0.5], trials=128)
     assert 0 < sum(seen) < 0.05 * 128 * math.comb(20, 4)
+
+
+def test_bordered_bounds_bracket_every_subset_before_the_margin():
+    # ties on the Bernoulli lattice make the bordered bound tight, so it may
+    # fall a few ulps short of eigvalsh there: that is what the margin covers,
+    # and the slack here is 64 ulps of the upper bound, far under the margin
+    for phi, k in _exact_cases():
+        m, n = phi.shape
+        grams = gram_stack(phi[None])
+        subs = ustat._subsets_array(n, k, 10**6)
+        lb_smin, ub_smax = ustat._bordered_bounds(grams.reshape(1, n * n), n, subs, m)
+        smin, smax = ustat.gram_extremes(grams[:, subs[:, :, None], subs[:, None, :]], rows=m)
+        slack = 64 * np.finfo(np.float64).eps * ub_smax
+        assert np.all(ub_smax >= smax - slack)
+        assert np.all(lb_smin <= smin + slack)
+        assert np.all(lb_smin >= 0.0)
+
+
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_subset_reach_covers_every_subset_value(kernel):
+    for phi, k in _exact_cases():
+        m, n = phi.shape
+        subs = ustat._subsets_array(n, k, 10**6)
+        reach = ustat._subset_reach(gram_stack(phi[None]), kernel, subs, m)[0]
+        assert np.all(reach >= subset_values(phi, kernel, k))
+
+
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_pruned_max_bitwise_at_twenty_of_twenty_four_columns(kernel):
+    # 19-index prefixes: a base-n key of a prefix would need 24**19 > 2**63
+    for phi in sample_batch(EnsembleSpec("gaussian", 22, 24, base_seed=43), 0, 2):
+        assert _bits(max_over_subsets(phi, kernel, 20)) == _bits(subset_values(phi, kernel, 20).max())
+
+
+@pytest.mark.parametrize("kernel", [RIC, SIGMA_MAX_SQ], ids=lambda kern: kern.variant)
+def test_bordered_bound_decomposes_under_one_percent(monkeypatch, kernel):
+    # the Gershgorin/Frobenius bound this replaced left 2.84% of subsets here
+    seen = []
+    real = ustat.gram_extremes
+
+    def recording(grams, rows=None):
+        seen.append(int(np.prod(grams.shape[:-2])))
+        return real(grams, rows=rows)
+
+    monkeypatch.setattr(ustat, "gram_extremes", recording)
+    spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
+    mc_extreme_tail(spec, kernel, 4, [0.5], trials=128)
+    assert 0 < sum(seen) < 0.01 * 128 * math.comb(20, 4)
+
+
+def test_pruned_max_memory_on_a_wide_stack():
+    # 64 trials of 10 x 40 at k = 4: one block of 32,768 subsets holds a
+    # 16 MiB bound array; prefix tables over every 3-subset would add to it
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 40, base_seed=7), 0, 64))
+    subs = ustat._subsets_array(40, 4, 10**6)
+    tracemalloc.start()
+    try:
+        ustat._max_values(grams, RIC, subs, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
