@@ -22,25 +22,28 @@ of an event exceeds the threshold.  One kernel evaluation per trial serves
 the whole threshold grid, so estimated tail curves are monotone by
 construction, and integer counts accumulate over fixed-size trial chunks, so
 results are invariant to the degree of parallelism.  Within a chunk the
-eigen kernels evaluate all subsets in blocks whose gathered k x k Grams stay
-under a fixed budget (``_BLOCK_BYTES``, 256 MiB), keeping a running maximum;
-the budget is per worker, so threads multiply it.  It bounds neither the
-sampled stack nor the n x n Grams (n^2 * 8 bytes per trial).
+gathered k x k Grams of the eigen kernels stay under a fixed budget
+(``_BLOCK_BYTES``, 256 MiB), whether all subsets are evaluated, block by
+block, or only the candidates of one slice of the pruned max below; the
+budget is per worker, so threads multiply it.  It bounds neither the sampled
+stack nor the n x n Grams (n^2 * 8 bytes per trial).
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
 for the eigen kernels at k >= 3; at k <= 2 the closed form is cheaper than any
 bound and every subset is evaluated.  Each subset's extreme eigenvalues are
 bounded by bordering its lexicographic prefixes, from the 1 x 1 diagonal up to
-k (``_bordered_bounds``; Horn & Johnson, *Matrix Analysis*, ch. 4), and the
-subset gets the kernel's value at those bounds.  A subset is decomposed only
-when its bound, widened by 1e-9 of |bound| + ub_smax for rounding, reaches a
-value already computed for that matrix, so the maximum and every count are
-exactly those of exhaustive evaluation.  On
-10 x 20 Gaussian matrices at k = 4 (128 trials, seed 7) 0.38% of subsets are
-decomposed for ``ric`` and ``sigma_max_sq``, and 83% for ``neg_sigma_min_sq``,
-where most lower bounds on sigma2_min still sit below the smallest sigma2_min
-found.
+k (``_bordered_bounds``; Horn & Johnson, *Matrix Analysis*, ch. 4), the lower
+side only for the kernels that read it, and the subset gets the kernel's value
+at those bounds.  Slice by slice of the enumeration, a subset is decomposed
+only when its bound, widened by 1e-9 of |bound| + ub_smax for rounding,
+reaches the running maximum of its matrix, so the maximum and every count are
+exactly those of exhaustive evaluation.  On 10 x 20 Gaussian matrices (seed 7) 0.49%
+of subsets are decomposed at k = 4 (128 trials) for ``ric`` and
+``sigma_max_sq``, and for ``neg_sigma_min_sq`` 52%, or 13% at k = 3 (512
+trials), where most lower bounds on sigma2_min still sit below the smallest
+sigma2_min found.  At k > m every sigma2_min is exactly 0, and the
+``neg_sigma_min_sq`` max is -0.0 with no ``eigvalsh`` at all.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ from .kernels import KernelId, _checked, gram_coherence, gram_extremes, gram_mut
 DEFAULT_SUBSET_CAP = 1_000_000
 
 _TRIAL_CHUNK = 512      # fixed so results do not depend on thread count
-_BLOCK_BYTES = 1 << 28  # gathered subset Grams per block of a chunk, per worker
+_BLOCK_BYTES = 1 << 28  # gathered subset Grams per block or slice of a chunk, per worker
 _BOUND_MARGIN = 1e-9    # relative slack of a subset bound, far above eigvalsh rounding
-_SLICE_BYTES = 1 << 18  # per (matrices, subsets) array while bounding a block
+_SLICE_BYTES = 1 << 18  # per (matrices, subsets) bound array of one slice of the pruned max
 
 
 class EnumerationInfeasibleError(RuntimeError):
@@ -189,7 +192,7 @@ def _bordered_bounds(flat, n, subs, rows):
     subs, read at the rows where the prefix differs from the previous one;
     a cumulative sum over those rows gives each subset the rank of its
     prefix.  sigma2_min is bounded by 0 from below, and is exactly 0 when
-    k > m.
+    k > m; rows = 0 asks for that trivial lower bound alone.
     """
     k = subs.shape[1]
     fresh = np.zeros(len(subs), dtype=bool)
@@ -225,18 +228,14 @@ def _subset_reach(grams, kernel: KernelId, subs, rows):
     The bound is spectral_value at the bordered-prefix bounds (lb_smin,
     ub_smax) of ``_bordered_bounds``, plus _BOUND_MARGIN times
     |bound| + ub_smax, which covers rounding in the bound and in eigvalsh.
-    Computed in slices of _SLICE_BYTES per (B, slice) array, so the
-    temporaries and the prefix tables stay in cache.
+    sigma_max_sq reads no lower bound, so it is given the trivial one, 0,
+    which holds for every PSD Gram: rows = 0 takes that branch.
     """
     n = grams.shape[-1]
-    flat = grams.reshape(len(grams), n * n)
-    reach = np.empty((len(grams), len(subs)))
-    step = max(1, _SLICE_BYTES // (len(grams) * 8))
-    for start in range(0, len(subs), step):
-        lb_smin, ub_smax = _bordered_bounds(flat, n, subs[start : start + step], rows)
-        bound = spectral_value(kernel, lb_smin, ub_smax)
-        reach[:, start : start + step] = bound + _BOUND_MARGIN * (np.abs(bound) + ub_smax)
-    return reach
+    rows = 0 if kernel.variant == "sigma_max_sq" else rows
+    lb_smin, ub_smax = _bordered_bounds(grams.reshape(len(grams), n * n), n, subs, rows)
+    bound = spectral_value(kernel, lb_smin, ub_smax)
+    return bound + _BOUND_MARGIN * (np.abs(bound) + ub_smax)
 
 
 def _picked_values(grams, kernel: KernelId, picks, subs, rows):
@@ -249,33 +248,35 @@ def _max_values(grams, kernel: KernelId, subs, rows):
     """Per-matrix maximum kernel value over subs -> (B,), as exhaustive evaluation gives it.
 
     For coherence subs is None (see _every_subset) and the max over all pairs
-    is read from whole Grams by kernels.gram_mutual_coherence.  The eigen
-    kernels go in blocks under _BLOCK_BYTES.  Where gram_extremes runs
-    eigvalsh (k >= 3) this is an exact branch and bound: in each block, every
-    matrix first evaluates the subset with the highest widened bordered-prefix
-    bound (``_subset_reach``), then only the subsets whose widened bound
-    reaches the best value seen so far.  A skipped subset cannot hold the maximum, and
+    is read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2 the
+    eigen kernels are evaluated in blocks under _BLOCK_BYTES.  At k > m every
+    sigma2_min is exactly 0, so the neg_sigma_min_sq max is -0.0 with no
+    eigvalsh.  Otherwise (k >= 3) this is an exact branch and bound over
+    slices of subs in enumeration order: each slice is bounded by
+    ``_subset_reach``, the first slice seeds a running max with each matrix's
+    best-bound subset, and only the subsets whose widened bound reaches the
+    running max are decomposed.  A skipped subset cannot hold the maximum, and
     eigvalsh gives each k x k Gram the same floats whatever else is in its
-    stack, so the maximum is bit for bit the exhaustive one.
+    stack, so the maximum is bit for bit the exhaustive one.  A slice holds
+    _SLICE_BYTES // (8 B) subsets, fewer where its candidates' gathered Grams
+    could exceed _BLOCK_BYTES (only at k > 32).
     """
     if kernel.needs_pair:
         return gram_mutual_coherence(grams)
-    if subs.shape[1] < 3:
+    k = subs.shape[1]
+    if kernel.variant == "neg_sigma_min_sq" and k > rows:
+        return np.full(len(grams), -0.0)
+    if k < 3:
         blocks = _blocks(subs, len(grams))
         return functools.reduce(np.maximum, (_batch_values(grams, kernel, b, rows).max(axis=1) for b in blocks))
-    top = np.full(len(grams), -np.inf)
-    matrices = np.arange(len(grams))
-    for block in _blocks(subs, len(grams)):
-        reach = _subset_reach(grams, kernel, block, rows)
-        seed = block[reach.argmax(axis=1)]
-        top = np.maximum(top, _picked_values(grams, kernel, matrices, seed, rows))
+    step = max(1, min(_SLICE_BYTES, _BLOCK_BYTES // (k * k)) // (len(grams) * 8))
+    for start in range(0, len(subs), step):
+        part = subs[start : start + step]
+        reach = _subset_reach(grams, kernel, part, rows)
+        if start == 0:
+            top = _picked_values(grams, kernel, np.arange(len(grams)), part[reach.argmax(axis=1)], rows)
         picks, pos = np.nonzero(reach >= top[:, None])
-        # a block's length of candidates at a time: where a weak bound keeps
-        # most of the block, gathering them all with their index arrays would
-        # take more memory than the exhaustive block did
-        for start in range(0, len(picks), len(block)):
-            part = slice(start, start + len(block))
-            np.maximum.at(top, picks[part], _picked_values(grams, kernel, picks[part], block[pos[part]], rows))
+        np.maximum.at(top, picks, _picked_values(grams, kernel, picks, part[pos], rows))
     return top
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -103,6 +104,37 @@ def test_fig_extreme_byte_determinism(tmp_path):
     assert _run(args + ["--out", str(first)]) == EXIT_OK
     assert _run(args + ["--out", str(second), "--threads", "3"]) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+# SHA-256 of fig-extreme CSVs at seed 7 on the min side and at k > m; the
+# benchmark's reference CSVs pin only sigma_max_sq on Gaussian matrices
+_PINNED_EXTREME_CSVS = [
+    pytest.param(
+        "neg_sigma_min_sq", "gaussian", 10, 20, 3, 512,
+        "d68c36675089f27bcc06c9e535e6b5ddbe2255809b1746879cab9e9b387b1d7d", id="min-gaussian-10x20-k3",
+    ),
+    pytest.param(
+        "neg_sigma_min_sq", "bernoulli", 6, 12, 3, 600,
+        "fb88b326a6af23ea7e7e47e035ccd2521884ece6f11c7ffc65f02e0dadea3a3f", id="min-bernoulli-6x12-k3",
+    ),
+    pytest.param(
+        "neg_sigma_min_sq", "bernoulli", 4, 10, 5, 300,
+        "f88c7a9f185116f702076063c36f7d0b533484a69819424c7c802d354caa8fe9", id="min-bernoulli-4x10-k5",
+    ),
+    pytest.param(
+        "sigma_max_sq", "bernoulli", 4, 10, 5, 300,
+        "03a12c7bc87cc0a4c0d091ac6c95061c3704a3c3cc5203ad128014447ded417c", id="max-bernoulli-4x10-k5",
+    ),
+]
+
+
+@pytest.mark.parametrize("kernel, ensemble, m, n, k, trials, digest", _PINNED_EXTREME_CSVS)
+def test_fig_extreme_pinned_bytes(tmp_path, kernel, ensemble, m, n, k, trials, digest):
+    out = tmp_path / "pinned.csv"
+    args = ["--kernel", kernel, "--ensemble", ensemble, "--m", m, "--n", n, "--k", k, "--trials", trials]
+    assert _run(["fig-extreme", *map(str, args), "--seed", "7", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 
 def test_fig_extreme_overlap_restriction(tmp_path):

@@ -560,3 +560,73 @@ def test_pruned_max_memory_on_a_wide_stack():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_pruned_max_memory_is_slice_sized():
+    # the same stack as above: bounds, candidate picks and their Grams are
+    # held one slice at a time, so nothing scales with C(40, 4)
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 40, base_seed=7), 0, 64))
+    subs = ustat._subsets_array(40, 4, 10**6)
+    tracemalloc.start()
+    try:
+        ustat._max_values(grams, RIC, subs, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _recorded_matrices(monkeypatch):
+    seen = []
+    real = ustat.gram_extremes
+
+    def recording(grams, rows=None):
+        seen.append(int(np.prod(grams.shape[:-2])))
+        return real(grams, rows=rows)
+
+    monkeypatch.setattr(ustat, "gram_extremes", recording)
+    return seen
+
+
+@pytest.mark.parametrize("k, trials, share", [(3, 512, 0.25), (4, 128, 0.65)])
+def test_min_side_prunes_against_the_running_max(monkeypatch, k, trials, share):
+    # a seed per 256 MiB block, then everything above it, decomposed 53% / 83%
+    seen = _recorded_matrices(monkeypatch)
+    spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
+    mc_extreme_tail(spec, NEG_SIGMA_MIN_SQ, k, [-0.5], trials=trials)
+    assert 0 < sum(seen) < share * trials * math.comb(20, k)
+
+
+def test_rank_deficient_min_side_max_needs_no_eigvalsh(monkeypatch):
+    # k = 5 > m = 4: every sigma2_min is exactly 0, so every value is -0.0
+    spec = EnsembleSpec("bernoulli", 4, 10, base_seed=7)
+    seen = _recorded_matrices(monkeypatch)
+    mc_extreme_tail(spec, NEG_SIGMA_MIN_SQ, 5, [-0.5, 0.0], trials=300)
+    assert seen == []
+    monkeypatch.undo()
+    for phi in sample_batch(spec, 0, 20):
+        assert _bits(max_over_subsets(phi, NEG_SIGMA_MIN_SQ, 5)) == _bits(subset_values(phi, NEG_SIGMA_MIN_SQ, 5).max())
+
+
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_pruned_max_bitwise_with_one_subset_per_slice(monkeypatch, kernel):
+    monkeypatch.setattr(ustat, "_SLICE_BYTES", 8)
+    for phi, k in _exact_cases():
+        exhaustive = subset_values(phi, kernel, k).max()
+        assert _bits(max_over_subsets(phi, kernel, k)) == _bits(exhaustive)
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 14, base_seed=44), 0, 40))
+    subs = ustat._subsets_array(14, 4, 10**6)
+    exhaustive = ustat._batch_values(grams, kernel, subs, 10).max(axis=1)
+    assert _bits(ustat._max_values(grams, kernel, subs, 10)) == _bits(exhaustive)
+
+
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_pruned_max_gathers_candidates_under_the_block_budget(monkeypatch, kernel):
+    # 64 KiB holds 20 Grams of 20 x 20; a slice would otherwise span all
+    # C(24, 20) = 10,626 subsets, and a weak bound keeps most of them
+    monkeypatch.setattr(ustat, "_BLOCK_BYTES", 1 << 16)
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 22, 24, base_seed=43), 0, 2))
+    subs = ustat._subsets_array(24, 20, 10**6)
+    seen = _recorded_matrices(monkeypatch)
+    ustat._max_values(grams, kernel, subs, 22)
+    assert 0 < max(seen) <= ustat._BLOCK_BYTES // (20 * 20 * 8)
