@@ -21,6 +21,12 @@ Philox4x64-10 rounds run on uint64 arrays over (trials, 4-word blocks), the
 first block at counter 1 because numpy advances the counter before it
 generates; above it, one generator per ``sample_batch`` call is reseated to
 each trial's key through its ``state`` setter.
+
+``sample_batch(..., packed=True)`` returns a Bernoulli batch as its sign bits
+instead: each column's m top bits packed into ceil(m/64) uint64 words, from
+the same raw words, drawn and packed ``_WORD_TILE_BYTES`` (16 MiB) of words at
+a time.  The Bernoulli coherence engine reads these with XOR and popcount
+(``kernels.packed_mutual_coherence``) and builds no float matrix.
 """
 
 from __future__ import annotations
@@ -79,11 +85,15 @@ _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT63 = np.uint64(63)  # a raw word's top bit is its Bernoulli sign
 # Most words per trial for which the vectorized rounds beat reseating one
 # generator.  Medians per 512-trial chunk on a 2-vCPU x86-64 host, vectorized
 # vs reseated: 48 words 1.8 vs 2.4 ms, 64 words 2.2-2.5 vs 2.6 ms, 80 words
 # 3.0-3.2 vs 2.7 ms, 160 words 4.9-5.5 vs 2.4-3.2 ms.
 _VECTOR_WORDS_MAX = 64
+# Raw words drawn at once by a packed call (16 MiB); a 512-trial chunk of
+# 50 x 100 matrices takes 2 tiles, of 50 x 1000 matrices 13.
+_WORD_TILE_BYTES = 1 << 24
 
 
 def _mulhilo(mul, x):
@@ -140,7 +150,7 @@ def _gaussian_from_raw(raw):
 
 
 def _signs_from_raw(raw):
-    return 1.0 - 2.0 * (raw >> np.uint64(63)).astype(np.float64)
+    return 1.0 - 2.0 * (raw >> _SHIFT63).astype(np.float64)
 
 
 def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
@@ -150,7 +160,35 @@ def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
     return MatrixSample(sample_batch(spec, trial_index, trial_index + 1)[0], spec, trial_index)
 
 
-def sample_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
+def _raw_words(base_seed, first, count, size):
+    """Raw words of trials [first, first + count), (count, size), by the faster path."""
+    if count == 0:
+        return np.empty((0, size), dtype=np.uint64)
+    if size <= _VECTOR_WORDS_MAX:
+        return _philox_words(base_seed, first, count, size)
+    return _reseated_words(base_seed, first, count, size)
+
+
+def _packed_signs(spec, start, count):
+    """Top bits of the raw words of trials [start, start + count) as (count, n, W) words.
+
+    Bit i % 64 of word i // 64 of column j is the top bit of entry (i, j), and
+    the unused high bits of the last word are 0.  The raw words are drawn and
+    packed _WORD_TILE_BYTES of them at a time, at least one trial per tile.
+    """
+    m, n = spec.m, spec.n
+    words = np.zeros((count, n, -(-m // 64)), dtype=np.uint64)
+    step = max(1, _WORD_TILE_BYTES // (m * n * 8))
+    for first in range(0, count, step):
+        tile = words[first : first + step]
+        raws = _raw_words(spec.base_seed, start + first, len(tile), m * n).reshape(len(tile), m, n)
+        for i in range(m):
+            tile[:, :, i // 64] |= (raws[:, i] >> _SHIFT63) << np.uint64(i % 64)
+        del raws  # so that the next tile's words are not drawn beside these
+    return words
+
+
+def sample_batch(spec: EnsembleSpec, start: int, stop: int, packed: bool = False) -> np.ndarray:
     """Stack of matrices for trial indices [start, stop); shape (stop-start, m, n).
 
     Trial t's entries come from the words of
@@ -160,17 +198,20 @@ def sample_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     blocks), the first block at counter 1; above it one generator per call is
     reseated to each trial's key through its ``state`` setter.  Equivalent to
     stacking sample_matrix results.
+
+    ``packed=True`` (Bernoulli only) returns the same trials' signs as packed
+    bits instead, a (stop-start, n, ceil(m/64)) uint64 array: bit i % 64 of
+    word i // 64 of column j is 1 exactly when entry (i, j) is -1/sqrt(m).
+    At most ``_WORD_TILE_BYTES`` of raw words are held at once.
     """
     if not 0 <= start <= stop <= _U64_MAX + 1:
         raise ValueError("need 0 <= start <= stop <= 2**64")
     count = stop - start
-    size = spec.m * spec.n
-    if count == 0:
-        raws = np.empty((0, size), dtype=np.uint64)
-    elif size <= _VECTOR_WORDS_MAX:
-        raws = _philox_words(spec.base_seed, start, count, size)
-    else:
-        raws = _reseated_words(spec.base_seed, start, count, size)
+    if packed:
+        if spec.family != "bernoulli":
+            raise ValueError(f"packed signs need a Bernoulli spec, got {spec.family!r}")
+        return _packed_signs(spec, start, count)
+    raws = _raw_words(spec.base_seed, start, count, spec.m * spec.n)
     scale = entry_scale(spec.m)
     if spec.family == "gaussian":
         entries = _gaussian_from_raw(raws) * scale

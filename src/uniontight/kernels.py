@@ -1,7 +1,9 @@
-"""Subset kernels, all read from Gram matrices.
+"""Subset kernels, read from Gram matrices or, for Bernoulli coherence, from sign bits.
 
 A kernel is a column-permutation-invariant function of an m x k column
-submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A:
+submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A
+(Bernoulli coherence in the Monte-Carlo engine from its integer entries, see
+"Packed signs" below):
 ``gram_stack`` builds one n x n Gram per matrix, the eigen kernels take the
 extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``), and the
 coherence kernel reads |G_ij| / sqrt(G_ii G_jj) (``gram_coherence``).  The
@@ -29,8 +31,16 @@ Exact lattice: a matrix whose entries all have magnitude
 +-1 products and their sums are exact in float64, so every Gram entry is the
 correctly rounded lattice value j/m, every diagonal entry is exactly 1, and
 the coherence of a pair is exactly fl(|j|/m).  A threshold a = j/m is then a
-true tie and resolves as 0.  On a unit diagonal sqrt(1 * 1) is exactly 1, so
-``gram_mutual_coherence`` skips the division there without changing a bit.
+true tie and resolves as 0.
+
+Packed signs: the Monte-Carlo engine reads Bernoulli coherence without any
+Gram.  For columns packed as sign bits (``sample_batch(..., packed=True)``)
+the inner product of two columns is m - 2 d, where d is the Hamming distance
+(popcount of the XOR) of their bits, so ``packed_coherence`` and
+``packed_mutual_coherence`` give fl(|m - 2 d| / m), the same floats as the
+lattice Gram path.  The eigen kernels keep the float Gram: a popcount Gram
+expanded to float was slower there.  Matrices passed in by callers
+(``subset_values``, ``max_over_subsets``) keep the lattice Gram path.
 """
 
 from __future__ import annotations
@@ -171,13 +181,56 @@ def gram_mutual_coherence(grams: np.ndarray) -> np.ndarray:
     for start in range(0, count, step):
         tile, d = grams[start : start + step], diag[start : start + step]
         part = np.abs(tile, out=values[: len(tile)])
-        # a unit diagonal (every exact lattice Gram) divides by sqrt(1 * 1) = 1
-        if not np.all(d == 1.0):
-            norm = np.multiply(d[:, :, None], d[:, None, :], out=norms[: len(tile)])
-            part /= np.sqrt(norm, out=norm)
+        norm = np.multiply(d[:, :, None], d[:, None, :], out=norms[: len(tile)])
+        part /= np.sqrt(norm, out=norm)
         flat = part.reshape(len(tile), n * n)
         flat[:, :: n + 1] = 0.0
         flat.max(axis=1, out=top[start : start + step])
+    return np.minimum(top, 1.0, out=top)
+
+
+def _distances(diff):
+    """Hamming distances of XORed packed sign words (..., W) -> (...)."""
+    counts = np.bitwise_count(diff)
+    # one word per column (m <= 64) needs no sum, and stays uint8
+    return counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.int64)
+
+
+def packed_coherence(words: np.ndarray, m: int, pairs: np.ndarray) -> np.ndarray:
+    """Coherence |m - 2 d| / m, clipped at 1, of listed column pairs of packed signs.
+
+    words: (B, n, W) from ``sample_batch(..., packed=True)``; pairs: (P, 2)
+    int array -> (B, P).  d is the Hamming distance between the two columns'
+    sign bits, so m - 2 d is their exact integer inner product and the value
+    is bit for bit gram_coherence of the lattice Gram.
+    """
+    if pairs.shape[1] != 2:
+        raise ValueError("coherence kernel requires k = 2")
+    d = _distances(words[:, pairs[:, 0]] ^ words[:, pairs[:, 1]])
+    values = np.abs(m - 2 * d.astype(np.int64)) / m
+    return np.minimum(values, 1.0, out=values)
+
+
+def packed_mutual_coherence(words: np.ndarray, m: int) -> np.ndarray:
+    """Coherence max over all column pairs of packed signs, clipped at 1; shape (B,).
+
+    words: (B, n, W) from ``sample_batch(..., packed=True)``.  One loop over
+    columns i XORs column i with the columns after it and keeps each trial's
+    running min and max Hamming distance d; the max of |m - 2 d| over pairs
+    is max(m - 2 min d, 2 max d - m).  Divided by m once, it is bit for bit
+    gram_mutual_coherence of the lattice Grams, with no Gram built.
+    """
+    count, n = words.shape[:2]
+    if n < 2:
+        raise ValueError("coherence kernel needs at least two columns")
+    # (n, B, W): each column's words for every trial in one contiguous block
+    cols = np.ascontiguousarray(np.swapaxes(words, 0, 1))
+    lo, hi = np.full(count, m, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    for i in range(n - 1):
+        d = _distances(cols[i + 1 :] ^ cols[i])
+        np.minimum(lo, d.min(axis=0), out=lo)
+        np.maximum(hi, d.max(axis=0), out=hi)
+    top = np.maximum(m - 2 * lo, 2 * hi - m) / m
     return np.minimum(top, 1.0, out=top)
 
 

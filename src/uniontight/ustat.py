@@ -13,7 +13,12 @@ k x k block for the eigen kernels and as one entry plus two diagonal entries
 for the coherence of a fixed pair.  The coherence max over all pairs is read
 from whole Grams (``kernels.gram_mutual_coherence``), and no pair list is
 built for it.  For +-1/sqrt(m) matrices the Gram is the exact lattice one, so
-values sit exactly on j/m and ties at a = j/m resolve as 0.
+values sit exactly on j/m and ties at a = j/m resolve as 0.  The engine reads
+Bernoulli coherence with no Gram at all: one packed ``sample_batch`` call per
+chunk gives each column's sign bits, and both the max over all pairs and the
+fixed pairs come from XOR and popcount of those words
+(``kernels.packed_mutual_coherence``, ``kernels.packed_coherence``), the same
+floats as the lattice Gram.
 
 The four Monte-Carlo estimators are selections of one count engine
 (``_tail_counts``): per trial it evaluates a few fixed subsets and, when
@@ -26,7 +31,8 @@ gathered k x k Grams of the eigen kernels stay under a fixed budget
 (``_BLOCK_BYTES``, 256 MiB), whether all subsets are evaluated, block by
 block, or only the candidates of one slice of the pruned max below; the
 budget is per worker, so threads multiply it.  It bounds neither the sampled
-stack nor the n x n Grams (n^2 * 8 bytes per trial).
+stack nor the n x n Grams (n^2 * 8 bytes per trial); the packed Bernoulli
+coherence path needs neither.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -58,7 +64,17 @@ from math import comb, sqrt
 import numpy as np
 
 from .ensembles import EnsembleSpec, sample_batch
-from .kernels import KernelId, _checked, gram_coherence, gram_extremes, gram_mutual_coherence, gram_stack, spectral_value
+from .kernels import (
+    KernelId,
+    _checked,
+    gram_coherence,
+    gram_extremes,
+    gram_mutual_coherence,
+    gram_stack,
+    packed_coherence,
+    packed_mutual_coherence,
+    spectral_value,
+)
 
 DEFAULT_SUBSET_CAP = 1_000_000
 
@@ -343,7 +359,8 @@ def _tail_counts(
     the trials whose max over all size-k subsets (enumeration refused above
     ``cap``) exceeds a; otherwise they span only the columns of the ``fixed``
     subsets.  Each event, a tuple of positions into ``fixed``, adds the row
-    of trials in which every subset it names exceeds a.
+    of trials in which every subset it names exceeds a.  Bernoulli coherence
+    builds no Gram: both rows are read from the chunk's packed sign words.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -358,21 +375,28 @@ def _tail_counts(
             raise ValueError("subset must hold k distinct integer column indices in range")
     grid = np.asarray(a_grid, dtype=np.float64)
     fixed = np.asarray(fixed, dtype=np.int64).reshape(len(fixed), k)
+    packed = kernel.needs_pair and spec.family == "bernoulli"
     if cap is None:
         cols, every = np.unique(fixed), None
-        fixed = np.searchsorted(cols, fixed)
+        local = np.searchsorted(cols, fixed)
     else:
-        cols, every = slice(None), _every_subset(spec.n, k, kernel, cap)
+        cols, every, local = slice(None), _every_subset(spec.n, k, kernel, cap), fixed
 
     def chunk_counts(start, stop):
-        # one expression, so the sampled stack is freed once its Gram is built
-        grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
+        if packed:
+            words = sample_batch(spec, start, stop, packed=True)
+            top = packed_mutual_coherence(words, spec.m) if cap is not None else None
+            values = packed_coherence(words, spec.m, fixed) if events else None
+        else:
+            # one expression, so the sampled stack is freed once its Gram is built
+            grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
+            top = _max_values(grams, kernel, every, spec.m) if cap is not None else None
+            values = _batch_values(grams, kernel, local, spec.m) if events else None
         rows = []
-        if cap is not None:
-            top = _max_values(grams, kernel, every, spec.m)
+        if top is not None:
             rows.append(np.count_nonzero(top[:, None] > grid, axis=0))
         if events:
-            exceed = _batch_values(grams, kernel, fixed, spec.m)[:, :, None] > grid
+            exceed = values[:, :, None] > grid
             for event in events:
                 rows.append(np.count_nonzero(exceed[:, list(event)].all(axis=1), axis=0))
         return np.stack(rows)

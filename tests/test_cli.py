@@ -240,6 +240,38 @@ def test_fig_coherence_rejects_other_k():
     assert _run(["fig-coherence", "--k", "3", "--trials", "10"]) == EXIT_CONFIG
 
 
+# SHA-256 of fig-coherence CSVs at seed 7, taken before Bernoulli coherence
+# was read from packed sign bits: m on both sides of a 64-bit word, the m = 64
+# grid on the lattice j/64 (ties), three chunks on two threads, and the
+# Gaussian float path
+_PINNED_COHERENCE_CSVS = [
+    pytest.param(
+        ["--ensemble", "bernoulli", "--m", "64", "--n", "40", "--trials", "300",
+         "--a-min", "0.125", "--a-max", "0.75", "--a-steps", "41"],
+        "6286d482125ff7a9439b735eb90de469078d00cc1eb423db26cb5c41ba3110fa", id="bernoulli-64x40-lattice-grid",
+    ),
+    pytest.param(
+        ["--ensemble", "bernoulli", "--m", "65", "--n", "40", "--trials", "300"],
+        "0b392ea9f999ad982c9066d8bd07277e442c2ffbd7f0f95ad3a5c91774061201", id="bernoulli-65x40",
+    ),
+    pytest.param(
+        ["--ensemble", "bernoulli", "--m", "65", "--n", "40", "--trials", "1100", "--threads", "2"],
+        "62c239c406049ff988a6abba9df6d5930dc49043ad5e8511ec2e08f5dacdcd6d", id="bernoulli-65x40-threads2",
+    ),
+    pytest.param(
+        ["--ensemble", "gaussian", "--m", "20", "--n", "30", "--trials", "200"],
+        "5de43015cddfcb9e9b86902528900708795b1ac58efd46ed726a509020e4cd47", id="gaussian-20x30",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", _PINNED_COHERENCE_CSVS)
+def test_fig_coherence_pinned_bytes(tmp_path, args, digest):
+    out = tmp_path / "pinned.csv"
+    assert _run(["fig-coherence", *args, "--seed", "7", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_bounds_table_rows(tmp_path):
     out = tmp_path / "table.csv"
     assert (

@@ -181,3 +181,29 @@ def test_row_outer_products_rejects_bad_args():
         row_outer_products(np.eye(2), scale=0.0)
     with pytest.raises(ValueError):
         row_outer_products(np.ones(3), scale=1.0)
+
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (5, 10), (63, 3), (64, 7), (65, 7), (130, 5)])
+def test_packed_signs_hold_the_top_bits(m, n):
+    # (1, 4) and (5, 10) take the vectorized rounds, the others a reseated generator
+    spec = EnsembleSpec("bernoulli", m, n, base_seed=9)
+    words = sample_batch(spec, 3, 40, packed=True)
+    assert words.dtype == np.uint64 and words.shape == (37, n, -(-m // 64))
+    # bit i % 64 of word i // 64 lands at position i along the last axis
+    bits = ((words[..., None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).reshape(37, n, -1)
+    assert np.array_equal(bits[:, :, :m], np.swapaxes(sample_batch(spec, 3, 40) < 0, 1, 2))
+    assert not np.any(bits[:, :, m:])  # the unused high bits stay 0
+
+def test_packed_signs_do_not_depend_on_the_word_tile(monkeypatch):
+    spec = EnsembleSpec("bernoulli", 50, 100, base_seed=7)
+    whole = sample_batch(spec, 0, 512, packed=True)
+    monkeypatch.setattr(ensembles, "_WORD_TILE_BYTES", 1)  # one trial per tile
+    assert np.array_equal(sample_batch(spec, 0, 512, packed=True), whole)
+    monkeypatch.setattr(ensembles, "_WORD_TILE_BYTES", 100 * 50 * 100 * 8)  # 100-trial tiles
+    assert np.array_equal(sample_batch(spec, 0, 512, packed=True), whole)
+
+
+def test_packed_signs_refuse_gaussian_specs():
+    with pytest.raises(ValueError, match="Bernoulli"):
+        sample_batch(EnsembleSpec("gaussian", 3, 4), 0, 2, packed=True)

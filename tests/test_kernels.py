@@ -18,6 +18,8 @@ from uniontight.kernels import (
     gram_stack,
     indicator,
     kernel_value,
+    packed_coherence,
+    packed_mutual_coherence,
     ric_kernel,
     squared_singular_extremes,
 )
@@ -138,6 +140,33 @@ def test_mutual_coherence_divides_unless_every_diagonal_entry_is_one():
     assert not np.any(np.diagonal(gaussian, axis1=1, axis2=2) == 1.0)
     for mixed in (np.concatenate([bernoulli, gaussian]), np.concatenate([gaussian, bernoulli])):
         assert gram_mutual_coherence(mixed).tobytes() == _pair_max(mixed).tobytes()
+
+
+# m on both sides of each 64-bit word boundary; n = 2 has a single pair
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("n", [2, 3, 100])
+def test_packed_mutual_coherence_equals_the_float_gram_max_bitwise(m, n):
+    spec = EnsembleSpec("bernoulli", m, n, base_seed=53)
+    words = sample_batch(spec, 0, 24, packed=True)
+    grams = gram_stack(sample_batch(spec, 0, 24))
+    assert packed_mutual_coherence(words, m).tobytes() == gram_mutual_coherence(grams).tobytes()
+    pairs = np.array(list(combinations(range(n), 2)))
+    assert packed_coherence(words, m, pairs).tobytes() == gram_coherence(grams, pairs).tobytes()
+
+
+def test_packed_mutual_coherence_reaches_both_ends_of_the_lattice():
+    # equal and opposite columns (d = 0 and d = m) both have coherence 1
+    words = sample_batch(EnsembleSpec("bernoulli", 70, 4, base_seed=54), 0, 2, packed=True)
+    full = np.array([2**64 - 1, 2**6 - 1], dtype=np.uint64)  # the 70 sign bits
+    copied = np.concatenate([words, words[:, :1]], axis=1)
+    flipped = np.concatenate([words, words[:, :1] ^ full], axis=1)
+    np.testing.assert_array_equal(packed_mutual_coherence(copied, 70), 1.0)
+    np.testing.assert_array_equal(packed_mutual_coherence(flipped, 70), 1.0)
+    assert np.all(packed_mutual_coherence(words, 70) < 1.0)
+    with pytest.raises(ValueError, match="two columns"):
+        packed_mutual_coherence(words[:, :1], 70)
+    with pytest.raises(ValueError, match="k = 2"):
+        packed_coherence(words, 70, np.array([[0, 1, 2]]))
 
 
 @pytest.mark.parametrize("ensemble", ["bernoulli", "gaussian"])  # lattice and row-order sums

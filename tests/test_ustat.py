@@ -13,6 +13,8 @@ from uniontight.kernels import (
     RIC,
     SIGMA_MAX_SQ,
     coherence_kernel,
+    gram_coherence,
+    gram_mutual_coherence,
     gram_stack,
     kernel_value,
     ric_kernel,
@@ -630,3 +632,67 @@ def test_pruned_max_gathers_candidates_under_the_block_budget(monkeypatch, kerne
     seen = _recorded_matrices(monkeypatch)
     ustat._max_values(grams, kernel, subs, 22)
     assert 0 < max(seen) <= ustat._BLOCK_BYTES // (20 * 20 * 8)
+
+
+def _exact_coherence_tops(spec, trials):
+    """Each trial's max off-diagonal |<s_i, s_j>| of its integer signs."""
+    signs = np.rint(sample_batch(spec, 0, trials) * math.sqrt(spec.m)).astype(np.int64)
+    grams = np.abs(np.swapaxes(signs, 1, 2) @ signs)
+    grams[:, np.arange(spec.n), np.arange(spec.n)] = 0
+    return grams.max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("m", [64, 65])
+def test_bernoulli_coherence_counts_at_every_lattice_level(m):
+    # three chunks, the last one short; a = j/m is a tie and resolves as 0
+    spec = EnsembleSpec("bernoulli", m, 40, base_seed=55)
+    tops = _exact_coherence_tops(spec, 1_100)
+    want = [np.count_nonzero(tops > j) / 1_100 for j in range(m + 1)]
+    for threads in (1, 2):
+        est = mc_extreme_tail(spec, COHERENCE, 2, np.arange(m + 1) / m, trials=1_100, threads=threads)
+        assert [e.point for e in est] == want
+
+
+def test_bernoulli_coherence_estimators_match_the_float_gram():
+    spec = EnsembleSpec("bernoulli", 65, 12, base_seed=56)
+    grid = np.union1d(np.arange(66) / 65, np.linspace(0.05, 0.95, 7))
+    grams = gram_stack(sample_batch(spec, 0, 600))
+
+    def tail(values):
+        return [np.count_nonzero(np.all(values > a, axis=1)) / 600 for a in grid]
+
+    pairs = gram_coherence(grams, np.array([(0, 1), (1, 2), (9, 4)]))
+    run = extreme_experiment(spec, COHERENCE, 2, grid, trials=600)
+    assert [e.point for e in run.extreme] == tail(gram_mutual_coherence(grams)[:, None])
+    assert [e.point for e in run.marginal] == tail(pairs[:, :1])
+    assert [e.point for e in run.joint[1]] == tail(pairs[:, :2])
+    assert [e.point for e in mc_joint_tail(spec, COHERENCE, 2, 1, grid, trials=600)] == tail(pairs[:, :2])
+    marginal = mc_marginal_tail(spec, COHERENCE, 2, grid, trials=600, subset=(9, 4))
+    assert [e.point for e in marginal] == tail(pairs[:, 2:])
+
+
+def test_bernoulli_coherence_reads_packed_signs_once_per_chunk(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ustat, "sample_batch", recording)
+    monkeypatch.setattr(ustat, "gram_stack", _refuse)
+    extreme_experiment(EnsembleSpec("bernoulli", 20, 30, base_seed=57), COHERENCE, 2, [0.3, 0.5], trials=1_100)
+    assert calls == [{"packed": True}] * 3
+
+
+def test_bernoulli_coherence_chunk_memory_is_word_tile_sized():
+    # one 512-trial chunk of 50 x 1000: its float Gram stack would take 4.1 GB
+    # and its raw words 205 MB, of which one 16 MiB tile is held at a time
+    # (about 20 MiB in all; two tiles at once measured 36 MiB)
+    spec = EnsembleSpec("bernoulli", 50, 1000, base_seed=7)
+    tracemalloc.start()
+    try:
+        mc_extreme_tail(spec, COHERENCE, 2, [0.5], trials=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
