@@ -100,6 +100,17 @@ _TYPES = {
 }
 
 
+def _finite_float(raw):
+    """A float option's value; inf and nan are refused like unparsable text."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="uniontight", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,7 +124,7 @@ def build_parser():
             elif isinstance(kind, tuple):
                 p.add_argument(flag, choices=kind)
             else:
-                p.add_argument(flag, type=kind)
+                p.add_argument(flag, type=_finite_float if kind is float else kind)
     return parser
 
 
@@ -146,8 +157,8 @@ def _parse_config_file(path, options):
                     raise ValueError(f"expected one of {', '.join(kind)}")
                 values[key] = raw
             else:
-                values[key] = kind(raw)
-        except ValueError as exc:
+                values[key] = (_finite_float if kind is float else kind)(raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 

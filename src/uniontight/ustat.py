@@ -26,13 +26,14 @@ asked, the max over all subsets, and counts the trials in which every subset
 of an event exceeds the threshold.  One kernel evaluation per trial serves
 the whole threshold grid, so estimated tail curves are monotone by
 construction, and integer counts accumulate over fixed-size trial chunks, so
-results are invariant to the degree of parallelism.  Within a chunk the
-gathered k x k Grams of the eigen kernels stay under a fixed budget
-(``_BLOCK_BYTES``, 256 MiB), whether all subsets are evaluated, block by
-block, or only the candidates of one slice of the pruned max below; the
-budget is per worker, so threads multiply it.  It bounds neither the sampled
-stack nor the n x n Grams (n^2 * 8 bytes per trial); the packed Bernoulli
-coherence path needs neither.
+results are invariant to the degree of parallelism.  Within a chunk every
+enumeration of the subsets, exhaustive or pruned, walks them in one kind of
+slice (``_slices``): 256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound
+per matrix and subset, so a slice's gathered k x k Grams take k^2 times that,
+and ``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.  Both
+are per worker, so threads multiply them.  Neither bounds the sampled stack,
+the n x n Grams (n^2 * 8 bytes per trial) or the (C(n, k), k) subset array;
+the packed Bernoulli coherence path needs no Gram.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -79,9 +80,9 @@ from .kernels import (
 DEFAULT_SUBSET_CAP = 1_000_000
 
 _TRIAL_CHUNK = 512      # fixed so results do not depend on thread count
-_BLOCK_BYTES = 1 << 28  # gathered subset Grams per block or slice of a chunk, per worker
+_BLOCK_BYTES = 1 << 28  # cap on one slice's gathered k x k Grams, per worker; binds at k > 32
 _BOUND_MARGIN = 1e-9    # relative slack of a subset bound, far above eigvalsh rounding
-_SLICE_BYTES = 1 << 18  # per (matrices, subsets) bound array of one slice of the pruned max
+_SLICE_BYTES = 1 << 18  # per (matrices, subsets) value or bound array of one slice
 
 
 class EnumerationInfeasibleError(RuntimeError):
@@ -181,14 +182,15 @@ def _batch_values(grams, kernel: KernelId, subs, rows):
     return spectral_value(kernel, smin, smax)
 
 
-def _blocks(subs, matrices):
-    """Consecutive blocks of subs, in enumeration order.
+def _slices(subs, matrices):
+    """Consecutive slices of subs, in enumeration order, over a stack of ``matrices`` Grams.
 
-    A block holds at most _BLOCK_BYTES of gathered k x k Grams over a stack of
-    ``matrices`` Grams, and never less than one subset.
+    A slice holds _SLICE_BYTES of one 8-byte value or bound per (matrix,
+    subset), fewer where its gathered k x k Grams could exceed _BLOCK_BYTES
+    (only at k > 32), and never less than one subset.
     """
     k = subs.shape[1]
-    step = max(1, _BLOCK_BYTES // (matrices * k * k * 8))
+    step = max(1, min(_SLICE_BYTES, _BLOCK_BYTES // (k * k)) // (matrices * 8))
     return (subs[start : start + step] for start in range(0, len(subs), step))
 
 
@@ -264,32 +266,30 @@ def _max_values(grams, kernel: KernelId, subs, rows):
     """Per-matrix maximum kernel value over subs -> (B,), as exhaustive evaluation gives it.
 
     For coherence subs is None (see _every_subset) and the max over all pairs
-    is read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2 the
-    eigen kernels are evaluated in blocks under _BLOCK_BYTES.  At k > m every
-    sigma2_min is exactly 0, so the neg_sigma_min_sq max is -0.0 with no
-    eigvalsh.  Otherwise (k >= 3) this is an exact branch and bound over
-    slices of subs in enumeration order: each slice is bounded by
-    ``_subset_reach``, the first slice seeds a running max with each matrix's
-    best-bound subset, and only the subsets whose widened bound reaches the
-    running max are decomposed.  A skipped subset cannot hold the maximum, and
-    eigvalsh gives each k x k Gram the same floats whatever else is in its
-    stack, so the maximum is bit for bit the exhaustive one.  A slice holds
-    _SLICE_BYTES // (8 B) subsets, fewer where its candidates' gathered Grams
-    could exceed _BLOCK_BYTES (only at k > 32).
+    is read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2
+    every subset is evaluated, slice by slice.  At k > m every sigma2_min is
+    exactly 0, so the neg_sigma_min_sq max is -0.0 with no eigvalsh.
+    Otherwise (k >= 3) this is an exact branch and bound over the same slices
+    in enumeration order: each slice is bounded by ``_subset_reach``, the
+    first slice seeds a running max with each matrix's best-bound subset, and
+    only the subsets whose widened bound reaches the running max are
+    decomposed.  A skipped subset cannot hold the maximum, and eigvalsh gives
+    each k x k Gram the same floats whatever else is in its stack, so the
+    maximum is bit for bit the exhaustive one.  Both branches take their
+    slices from ``_slices``.
     """
     if kernel.needs_pair:
         return gram_mutual_coherence(grams)
     k = subs.shape[1]
     if kernel.variant == "neg_sigma_min_sq" and k > rows:
         return np.full(len(grams), -0.0)
+    slices = _slices(subs, len(grams))
     if k < 3:
-        blocks = _blocks(subs, len(grams))
-        return functools.reduce(np.maximum, (_batch_values(grams, kernel, b, rows).max(axis=1) for b in blocks))
-    step = max(1, min(_SLICE_BYTES, _BLOCK_BYTES // (k * k)) // (len(grams) * 8))
-    for start in range(0, len(subs), step):
-        part = subs[start : start + step]
+        return functools.reduce(np.maximum, (_batch_values(grams, kernel, part, rows).max(axis=1) for part in slices))
+    top = None
+    for part in slices:
         reach = _subset_reach(grams, kernel, part, rows)
-        if start == 0:
+        if top is None:
             top = _picked_values(grams, kernel, np.arange(len(grams)), part[reach.argmax(axis=1)], rows)
         picks, pos = np.nonzero(reach >= top[:, None])
         np.maximum.at(top, picks, _picked_values(grams, kernel, picks, part[pos], rows))
@@ -301,7 +301,7 @@ def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
     phi = _checked(phi)
     grams = gram_stack(phi[None])
     subs = _subsets_array(phi.shape[1], k, cap)
-    return np.concatenate([_batch_values(grams, kernel, b, phi.shape[0])[0] for b in _blocks(subs, 1)])
+    return np.concatenate([_batch_values(grams, kernel, part, phi.shape[0])[0] for part in _slices(subs, 1)])
 
 
 def u_statistic(phi, kernel: KernelId, k: int, a: float, cap: int = DEFAULT_SUBSET_CAP) -> float:

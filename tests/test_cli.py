@@ -516,3 +516,46 @@ def test_fig_extreme_bernoulli_tie_at_one(tmp_path):
         inner = np.einsum("bm,bm->b", signs[:, :, 0], signs[:, :, 1])
         p_hat = float(rows[0][header.index("p_hat")])
         assert p_hat == np.count_nonzero(inner) / trials
+
+
+def _recorded_samples(monkeypatch):
+    sampled = []
+
+    def recording(*args, **kwargs):
+        sampled.append(args)
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ustat, "sample_batch", recording)
+    return sampled
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_float_flag_refused_before_sampling(tmp_path, monkeypatch, capsys, value):
+    sampled = _recorded_samples(monkeypatch)
+    out = tmp_path / "never.csv"
+    args = ["fig-extreme", "--n", "6", "--trials", "10", "--out", str(out)]
+    assert _run([*args, f"--a-max={value}"]) == EXIT_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+    assert sampled == [] and not out.exists()
+    assert _run([*args, "--a-max=5.0"]) == EXIT_OK
+    assert sampled
+
+
+@pytest.mark.parametrize("line", ["a_max = inf", "a_min = nan", "a_max = -inf"])
+def test_non_finite_float_config_key_refused_before_sampling(tmp_path, monkeypatch, capsys, line):
+    sampled = _recorded_samples(monkeypatch)
+    cfg = tmp_path / "float.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never.csv"
+    assert _run(["fig-extreme", "--n", "6", "--trials", "10", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "expected a finite number" in err
+    assert sampled == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--beta-prime", "--a-fixed-max", "--a-fixed-min"])
+def test_fig_rates_refuses_non_finite_floats(tmp_path, capsys, flag):
+    out = tmp_path / "never.csv"
+    assert _run(["fig-rates", f"{flag}=nan", "--out", str(out)]) == EXIT_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()

@@ -634,6 +634,56 @@ def test_pruned_max_gathers_candidates_under_the_block_budget(monkeypatch, kerne
     assert 0 < max(seen) <= ustat._BLOCK_BYTES // (20 * 20 * 8)
 
 
+def test_slices_cover_subsets_in_order_at_the_slice_size():
+    subs = ustat._subsets_array(60, 2, 10**6)
+    step = ustat._SLICE_BYTES // (512 * 8)  # 64 pairs of a 512-trial chunk
+    parts = list(ustat._slices(subs, 512))
+    assert [len(part) for part in parts] == [step] * (1770 // step) + [1770 % step]
+    assert _bits(np.concatenate(parts)) == _bits(subs)
+    assert [len(part) for part in ustat._slices(subs, 1)] == [1770]
+    # at k = 40 a slice of 32,768 subsets would gather 400 MiB of Grams
+    wide = np.broadcast_to(np.arange(40), (10**5, 40))
+    assert len(next(ustat._slices(wide, 1))) == ustat._BLOCK_BYTES // (40 * 40 * 8)
+
+
+def test_exhaustive_max_memory_is_slice_sized():
+    # 512 trials of 20 x 60 at k = 2: evaluating all 1770 pairs at once peaks
+    # at 62 MiB, while a slice of 64 pairs gathers 1 MiB of 2 x 2 Grams
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 20, 60, base_seed=7), 0, 512))
+    subs = ustat._subsets_array(60, 2, 10**6)
+    tracemalloc.start()
+    try:
+        ustat._max_values(grams, RIC, subs, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_exhaustive_max_bitwise_with_one_subset_per_slice(monkeypatch, kernel):
+    monkeypatch.setattr(ustat, "_SLICE_BYTES", 8)
+    stacks = [(gram_stack(phi[None]), phi.shape) for phi, _ in _exact_cases()]
+    phi = sample_batch(EnsembleSpec("gaussian", 10, 14, base_seed=44), 0, 40)
+    stacks.append((gram_stack(phi), phi.shape[1:]))
+    for grams, (m, n) in stacks:
+        for k in (1, 2):
+            subs = ustat._subsets_array(n, k, 10**6)
+            exhaustive = ustat._batch_values(grams, kernel, subs, m).max(axis=1)
+            assert _bits(ustat._max_values(grams, kernel, subs, m)) == _bits(exhaustive)
+
+
+@pytest.mark.parametrize("kernel", [COHERENCE, *EIGEN_KERNELS], ids=lambda kern: kern.variant)
+def test_subset_values_bitwise_with_one_subset_per_slice(monkeypatch, kernel):
+    cases = [(phi, 2) for phi, _ in _exact_cases()]
+    if not kernel.needs_pair:
+        cases += _exact_cases()
+    default = [subset_values(phi, kernel, k) for phi, k in cases]
+    monkeypatch.setattr(ustat, "_SLICE_BYTES", 8)
+    for (phi, k), values in zip(cases, default):
+        assert _bits(subset_values(phi, kernel, k)) == _bits(values)
+
+
 def _exact_coherence_tops(spec, trials):
     """Each trial's max off-diagonal |<s_i, s_j>| of its integer signs."""
     signs = np.rint(sample_batch(spec, 0, trials) * math.sqrt(spec.m)).astype(np.int64)
