@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poisson import LARGE, _sat_exp
+from .poisson import LARGE, _sat_exp, poisson_nonzero_approx
 
 SIDES = ("max", "min")
 
@@ -256,11 +256,8 @@ def coherence_eps_terms(n: int, m: int, a: float, lam: float) -> tuple[float, fl
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    one_minus = -math.expm1(-lam)
     return (
-        one_minus * (4.0 * n - 6.0) * math.exp(-m * a**2 / 2.0),
+        poisson_nonzero_approx(lam) * (4.0 * n - 6.0) * math.exp(-m * a**2 / 2.0),
         4.0 * n**3 * math.exp(-m * a**2),
     )
 

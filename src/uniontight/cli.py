@@ -398,12 +398,12 @@ def run_bounds_table(cfg):
             )
         if 0.0 <= a <= 1.0:
             curve("coherence_tail_bound", a, lambda x=a: coherence_tail_bound(x, m))
-            proxy = coherence_gaussian_proxy(a, m)
-            lam = subset_count(n, 2) * proxy
             curve(
                 "coherence_eps_bound",
                 a,
-                lambda x=a, v=lam: coherence_eps_bound(n, m, x, v),
+                lambda x=a: coherence_eps_bound(
+                    n, m, x, subset_count(n, 2) * coherence_gaussian_proxy(x, m)
+                ),
             )
         curve(
             "rate_condition_satisfied",

@@ -53,23 +53,16 @@ def lambda_n(n: int, k: int, p: float) -> float:
 
 def poisson_zero_approx(lam: float) -> float:
     """exp(-lambda), the Poisson approximation of the no-exceedance probability."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
     return math.exp(-lam) if lam < math.inf else 0.0
 
 
 def poisson_nonzero_approx(lam: float) -> float:
     """1 - exp(-lambda), the companion approximation of the exceedance probability."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
     return -math.expm1(-lam) if lam < math.inf else 1.0
-
-
-def _log_subset_deficit(n, k):
-    # ln(C(n,k) - C(n-k,k)): count of size-k subsets meeting a fixed one.
-    # The two binomials are nearly equal for k << n, so the difference is
-    # taken in exact integer arithmetic instead of log space.
-    return math.log(math.comb(n, k) - math.comb(n - k, k))
 
 
 def _check_pq(p, q):
@@ -83,41 +76,46 @@ def _check_pq(p, q):
             flagged = True
     if flagged:
         # statistically impossible but reachable through MC noise; accept
-        warnings.warn("joint tail exceeds marginal tail (q_r > p)", stacklevel=3)
+        warnings.warn("joint tail exceeds marginal tail (q_r > p)", stacklevel=4)
+
+
+def _eps_terms(n, k, p, q, overlaps=True):
+    """Checked terms shared by the eps bounds: (1 - e^-lam, ln first, overlap logs).
+
+    The first term p [C(n,k) - C(n-k,k)] takes the difference of the two
+    nearly equal binomials in exact integers.  The overlap logs are
+    (ln C(k,r) + ln C(n-k,k-r), ln q_r) for each r with q_r > 0 that can occur
+    (C(n-k, k-r) = 0 when k - r > n - k).  With ``overlaps=False`` q holds
+    q_{k-1} alone and no overlap logs are built.
+    """
+    if overlaps and len(q) != k - 1:
+        raise ValueError(f"expected {k - 1} joint tails q_1..q_{k - 1}, got {len(q)}")
+    _check_pq(p, q)
+    factor = poisson_nonzero_approx(lambda_n(n, k, p))
+    log_first = math.log(p) + math.log(math.comb(n, k) - math.comb(n - k, k))
+    logs = [
+        (log_binomial(k, r) + log_binomial(n - k, k - r), math.log(qr))
+        for r, qr in enumerate(q, start=1)
+        if overlaps and qr > 0.0 and k - r <= n - k
+    ]
+    return factor, log_first, logs
 
 
 def eps_full(n: int, k: int, p: float, q) -> float:
     """Tightest approximation-error bound; q holds q_1..q_{k-1} (empty for k = 1)."""
-    q = tuple(q)
-    if len(q) != k - 1:
-        raise ValueError(f"expected {k - 1} joint tails q_1..q_{k - 1}, got {len(q)}")
-    _check_pq(p, q)
-    lam = lambda_n(n, k, p)
-    logs = [math.log(p) + _log_subset_deficit(n, k)]
-    for r, qr in enumerate(q, start=1):
-        # C(n-k, k-r) = 0 when k - r > n - k: that overlap cannot occur
-        if qr > 0.0 and k - r <= n - k:
-            logs.append(
-                log_binomial(k, r) + log_binomial(n - k, k - r) + math.log(qr) - math.log(p)
-            )
-    return min(poisson_nonzero_approx(lam) * _sat_exp(float(logsumexp(logs))), LARGE)
+    factor, log_first, overlaps = _eps_terms(n, k, p, tuple(q))
+    log_p = math.log(p)
+    logs = [log_first] + [c + log_q - log_p for c, log_q in overlaps]
+    return min(factor * _sat_exp(float(logsumexp(logs))), LARGE)
 
 
 def eps_mid(n: int, k: int, p: float, q) -> float:
     """Intermediate bound with the joint sum pulled out of the (1 - e^-lam) factor."""
-    q = tuple(q)
-    if len(q) != k - 1:
-        raise ValueError(f"expected {k - 1} joint tails q_1..q_{k - 1}, got {len(q)}")
-    _check_pq(p, q)
-    lam = lambda_n(n, k, p)
-    first = poisson_nonzero_approx(lam) * _sat_exp(math.log(p) + _log_subset_deficit(n, k))
-    logs = [
-        log_binomial(k, r) + log_binomial(n - k, k - r) + log_binomial(n, k) + math.log(qr)
-        for r, qr in enumerate(q, start=1)
-        if qr > 0.0 and k - r <= n - k
-    ]
+    factor, log_first, overlaps = _eps_terms(n, k, p, tuple(q))
+    log_total = log_binomial(n, k)
+    logs = [c + log_total + log_q for c, log_q in overlaps]
     second = _sat_exp(float(logsumexp(logs))) if logs else 0.0
-    return min(first + second, LARGE)
+    return min(factor * _sat_exp(log_first) + second, LARGE)
 
 
 def eps_single(n: int, k: int, p: float, q_top: float) -> float:
@@ -127,9 +125,8 @@ def eps_single(n: int, k: int, p: float, q_top: float) -> float:
     """
     if k < 2:
         raise ValueError("eps_single requires k >= 2")
-    _check_pq(p, (q_top,))
-    lam = lambda_n(n, k, p)
-    first = poisson_nonzero_approx(lam) * _sat_exp(math.log(p) + _log_subset_deficit(n, k))
+    factor, log_first, _ = _eps_terms(n, k, p, (q_top,), overlaps=False)
+    first = factor * _sat_exp(log_first)
     if q_top == 0.0:
         return min(first, LARGE)
     log_coeff = (
@@ -166,7 +163,8 @@ def eps_std_err(kind: str, n: int, k: int, p: float, q, p_se: float, q_se) -> fl
         # index -1 is p, otherwise q[index]
         base = p if index < 0 else q[index]
         h = max(abs(base), 1e-12) * 1e-6
-        lo, hi = base - h, base + h
+        # steps stay inside the tails' domain; at 1 the difference is one-sided
+        lo, hi = base - h, min(base + h, 1.0)
         if index < 0:
             lo = max(lo, 1e-300)
             f_hi, f_lo = evaluate(hi, q), evaluate(lo, q)

@@ -10,6 +10,7 @@ from uniontight.bounds import (
     c3_constant,
     c4_constant,
     coherence_eps_bound,
+    coherence_eps_terms,
     coherence_gaussian_proxy,
     coherence_tail_bound,
     concentration_tail,
@@ -277,6 +278,13 @@ def test_coherence_eps_bound():
         coherence_eps_bound(1, m, a, 0.0)
     with pytest.raises(ValueError):
         coherence_eps_bound(n, m, a, -0.5)
+
+
+def test_coherence_eps_terms_refuse_nan_lambda():
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        coherence_eps_terms(100, 50, 0.5, math.nan)
+    # an infinite lambda is the saturated union bound, not an error
+    assert coherence_eps_terms(100, 50, 0.5, math.inf)[0] == 394 * math.exp(-50 * 0.5**2 / 2)
 
 
 def test_rate_condition():

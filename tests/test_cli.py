@@ -296,6 +296,26 @@ def test_bounds_table_rows(tmp_path):
         assert row[3] in ("", "0", "1")
 
 
+@pytest.mark.parametrize("a_min", ["0", "-1"])
+def test_bounds_table_grid_through_zero(tmp_path, a_min):
+    out = tmp_path / "table.csv"
+    args = ["bounds-table", "--a-min", a_min, "--a-max", "1", "--a-steps", "3", "--out", str(out)]
+    assert _run(args) == EXIT_OK
+    _, rows = _read_csv(out)
+    at_zero = {row[0]: row[2] for row in rows if row[1] and float(row[1]) == 0.0}
+    assert float(at_zero["coherence_tail_bound"]) == 2.0
+    assert "rate_condition_satisfied" in at_zero
+    assert "coherence_eps_bound" not in at_zero  # the Gaussian proxy needs a > 0
+
+
+def test_bounds_table_default_pinned_bytes(tmp_path):
+    # the default grid starts at a = 0.1, clear of the a = 0 guard
+    out = tmp_path / "table.csv"
+    assert _run(["bounds-table", "--out", str(out)]) == EXIT_OK
+    digest = "5e1abdd1cbba595b9f4f59954a65e6889c5dea8fac6f6d0a2a7f6c313ca18078"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_exit_code_invalid_config(capsys):
     assert _run(["fig-extreme", "--a-min", "3.0", "--a-max", "1.0"]) == EXIT_CONFIG
     assert _run(["fig-extreme", "--trials", "0"]) == EXIT_CONFIG

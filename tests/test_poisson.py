@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +160,22 @@ def test_eps_std_err_combines_p_and_q():
         eps_std_err("tight", 6, 2, 0.1, (0.02,), 0.003, (0.001,))
 
 
+@pytest.mark.parametrize("kind", ["full", "mid", "single"])
+def test_eps_std_err_at_unit_tails(kind):
+    # the upper step of p = 1 or q_r = 1 would leave [0, 1]; it stops at 1
+    for q in ((0.5,), (1.0,)):
+        se = eps_std_err(kind, 5, 2, 1.0, q, 0.01, (0.01,))
+        assert math.isfinite(se) and se >= 0.0
+
+
+def test_nan_lambda_refused():
+    for approx in (poisson_zero_approx, poisson_nonzero_approx):
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            approx(math.nan)
+    assert poisson_zero_approx(math.inf) == 0.0
+    assert poisson_nonzero_approx(math.inf) == 1.0
+
+
 def test_poisson_report_bundles():
     report = poisson_report(6, 2, 1.3, 0.2, [0.05])
     assert isinstance(report, PoissonReport)
@@ -185,3 +203,69 @@ def test_combinatorial_identities_exact():
 def test_one_minus_exp_below_lambda():
     for lam in np.linspace(0.0, 30.0, 121):
         assert poisson_nonzero_approx(lam) <= lam + 1e-12
+
+
+def _eps_sweep():
+    # Seeded (n, k, p, q) draws through every branch of the three bounds;
+    # ``seen`` names the branches that the draws reached.
+    rng = np.random.default_rng(2013)
+    values, seen = [], set()
+    for _ in range(2000):
+        k = int(rng.integers(1, 13))
+        shape = int(rng.integers(4))
+        if shape == 0:
+            n = int(rng.integers(k, 2 * k))  # overlaps with k - r > n - k cannot occur
+        elif shape == 1:
+            k = int(rng.integers(2, 61))
+            n = int(rng.integers(2_000, 10_001))  # binomials that saturate at LARGE
+        else:
+            n = int(rng.integers(max(k, 2), 401))
+        u = rng.random()
+        if u < 0.1:
+            p = 1.0
+            seen.add("p = 1")
+        elif u < 0.2:
+            p = 1.0 / math.comb(n, k)
+            seen.add("p = 1/N")
+        else:
+            p = float(10.0 ** rng.uniform(-12.0, 0.0))
+        q = []
+        for r in range(1, k):
+            v = rng.random()
+            if v < 0.2:
+                q.append(0.0)
+                seen.add("zero q")
+                continue
+            q.append(float(rng.uniform(p, 1.0)) if v < 0.3 else p * float(rng.random()))
+            if q[-1] > p:
+                seen.add("q > p")
+            if k - r > n - k:
+                seen.add("infeasible")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values += [eps_full(n, k, p, q), eps_mid(n, k, p, q)]
+            if k >= 2:
+                values.append(eps_single(n, k, p, q[-1]))
+    if LARGE in values:
+        seen.add("LARGE")
+    return np.array(values, dtype=np.float64), seen
+
+
+# SHA-256 of the sweep's float64 bytes
+_EPS_SWEEP_SHA256 = "9edd2c45d44a4c3195abe20def4cab109d4f9e56ab5570bfea1247229d0cfe03"
+
+
+def test_eps_bytes_pinned_and_one_warning_per_call():
+    values, seen = _eps_sweep()
+    assert seen == {"p = 1", "p = 1/N", "zero q", "q > p", "infeasible", "LARGE"}
+    assert hashlib.sha256(values.tobytes()).hexdigest() == _EPS_SWEEP_SHA256
+    for call in (
+        lambda: eps_full(6, 3, 0.01, [0.02, 0.03]),
+        lambda: eps_mid(6, 3, 0.01, [0.02, 0.03]),
+        lambda: eps_single(6, 3, 0.01, 0.03),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [UserWarning]
+        assert caught[0].filename == __file__

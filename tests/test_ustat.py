@@ -404,7 +404,8 @@ def test_subset_tiling_does_not_change_estimates(monkeypatch, threads):
     )
     coh_grid = np.linspace(0.1, 0.9, 9)
     coh = [e.point for e in mc_extreme_tail(spec, COHERENCE, 2, coh_grid, trials=600)]
-    # 36,864 B = one 3 x 3 block of 8-byte entries for each of 512 trials
+    # 36,864 B holds one 3 x 3 Gram of 8-byte entries for each of 512 trials, so
+    # _slices cuts a 512-trial chunk into one subset per slice (also at 1 B), five at 5x
     for budget in (1, 36_864, 5 * 36_864):
         monkeypatch.setattr(ustat, "_BLOCK_BYTES", budget)
         tiled = (
@@ -458,7 +459,7 @@ def _exact_cases():
 @pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
 def test_pruned_max_equals_exhaustive_max_bitwise(monkeypatch, kernel, block_bytes):
     if block_bytes is not None:
-        monkeypatch.setattr(ustat, "_BLOCK_BYTES", block_bytes)  # one subset per block
+        monkeypatch.setattr(ustat, "_BLOCK_BYTES", block_bytes)  # one subset per slice
     for phi, k in _exact_cases():
         exhaustive = subset_values(phi, kernel, k).max()
         assert _bits(max_over_subsets(phi, kernel, k)) == _bits(exhaustive)
@@ -592,7 +593,8 @@ def _recorded_matrices(monkeypatch):
 
 @pytest.mark.parametrize("k, trials, share", [(3, 512, 0.25), (4, 128, 0.65)])
 def test_min_side_prunes_against_the_running_max(monkeypatch, k, trials, share):
-    # a seed per 256 MiB block, then everything above it, decomposed 53% / 83%
+    # the first _SLICE_BYTES slice seeds the running max, then each slice's
+    # subsets whose bound reaches it are decomposed: 13% / 52% at seed 7
     seen = _recorded_matrices(monkeypatch)
     spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
     mc_extreme_tail(spec, NEG_SIGMA_MIN_SQ, k, [-0.5], trials=trials)
