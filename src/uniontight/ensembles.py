@@ -55,6 +55,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("m", "n", "base_seed"):
+            # a float would be truncated into another integer's seed or shape
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"dimensions must be positive, got m={self.m}, n={self.n}")
         if not 0 <= self.base_seed <= _U64_MAX:

@@ -65,11 +65,12 @@ def poisson_nonzero_approx(lam: float) -> float:
     return -math.expm1(-lam) if lam < math.inf else 1.0
 
 
-def _check_pq(p, q):
+def _check_pq(k, p, q):
     if not 0.0 < p <= 1.0:
         raise ValueError(f"marginal tail p must be in (0, 1], got {p}")
     flagged = False
-    for r, qr in enumerate(q, start=1):
+    # q ends at q_{k-1}: it holds q_1..q_{k-1}, or q_{k-1} alone
+    for r, qr in enumerate(q, start=k - len(q)):
         if not 0.0 <= qr <= 1.0:
             raise ValueError(f"joint tail q_{r} must be in [0, 1], got {qr}")
         if qr > p:
@@ -90,7 +91,7 @@ def _eps_terms(n, k, p, q, overlaps=True):
     """
     if overlaps and len(q) != k - 1:
         raise ValueError(f"expected {k - 1} joint tails q_1..q_{k - 1}, got {len(q)}")
-    _check_pq(p, q)
+    _check_pq(k, p, q)
     factor = poisson_nonzero_approx(lambda_n(n, k, p))
     log_first = math.log(p) + math.log(math.comb(n, k) - math.comb(n - k, k))
     logs = [
@@ -149,6 +150,10 @@ def eps_std_err(kind: str, n: int, k: int, p: float, q, p_se: float, q_se) -> fl
         raise ValueError(f"unknown eps kind {kind!r}")
     q = tuple(q)
     q_se = tuple(q_se)
+    if len(q_se) != len(q):
+        raise ValueError(f"need one standard error per joint tail, got {len(q_se)} for {len(q)}")
+    if kind == "single" and k < 2:
+        raise ValueError("eps_single requires k >= 2")
 
     def evaluate(pv, qv):
         with warnings.catch_warnings():

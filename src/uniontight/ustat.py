@@ -31,9 +31,10 @@ enumeration of the subsets, exhaustive or pruned, walks them in one kind of
 slice (``_slices``): 256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound
 per matrix and subset, so a slice's gathered k x k Grams take k^2 times that,
 and ``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.  Both
-are per worker, so threads multiply them.  Neither bounds the sampled stack,
-the n x n Grams (n^2 * 8 bytes per trial) or the (C(n, k), k) subset array;
-the packed Bernoulli coherence path needs no Gram.
+are per worker, so threads multiply them.  Each slice is filled straight
+from the lexicographic stream, so no array of every subset is built.  Neither
+bounds the sampled stack or the n x n Grams (n^2 * 8 bytes per trial); the
+packed Bernoulli coherence path needs no Gram.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -60,7 +61,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb, inf, sqrt
 
 import numpy as np
 
@@ -148,26 +149,14 @@ def subsets(n: int, k: int, cap: int = DEFAULT_SUBSET_CAP):
     return itertools.combinations(range(n), k)
 
 
-def _subsets_array(n, k, cap):
-    count = comb(n, k)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(subsets(n, k, cap)), dtype=np.int64, count=count * k
-    )
-    return flat.reshape(count, k)
+def _check_k(n, k, kernel: KernelId, cap):
+    """Refuse k out of range, C(n, k) above cap (None: no cap) and coherence at k != 2.
 
-
-def _every_subset(n, k, kernel: KernelId, cap):
-    """All size-k subsets as an (N, k) array for _max_values; None for coherence.
-
-    The coherence max reads whole Grams, so no pair list is built for it, but
-    k and the cap are checked all the same, before anything is sampled.
+    Called before anything is sampled or any Gram is built.
     """
-    if not kernel.needs_pair:
-        return _subsets_array(n, k, cap)
-    _checked_count(n, k, cap)
-    if k != 2:
+    _checked_count(n, k, inf if cap is None else cap)
+    if kernel.needs_pair and k != 2:
         raise ValueError("coherence kernel requires k = 2")
-    return None
 
 
 def _batch_values(grams, kernel: KernelId, subs, rows):
@@ -182,16 +171,21 @@ def _batch_values(grams, kernel: KernelId, subs, rows):
     return spectral_value(kernel, smin, smax)
 
 
-def _slices(subs, matrices):
-    """Consecutive slices of subs, in enumeration order, over a stack of ``matrices`` Grams.
+def _slices(n, k, matrices):
+    """All size-k subsets of range(n) as consecutive (size, k) int64 slices, in enumeration order.
 
     A slice holds _SLICE_BYTES of one 8-byte value or bound per (matrix,
-    subset), fewer where its gathered k x k Grams could exceed _BLOCK_BYTES
-    (only at k > 32), and never less than one subset.
+    subset) over a stack of ``matrices`` Grams, fewer where its gathered
+    k x k Grams could exceed _BLOCK_BYTES (only at k > 32), and never less
+    than one subset.  Each slice is filled from the lexicographic stream, so
+    only one slice of subsets exists at a time.
     """
-    k = subs.shape[1]
     step = max(1, min(_SLICE_BYTES, _BLOCK_BYTES // (k * k)) // (matrices * 8))
-    return (subs[start : start + step] for start in range(0, len(subs), step))
+    stream = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    count = comb(n, k)
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        yield np.fromiter(stream, dtype=np.int64, count=size * k).reshape(size, k)
 
 
 def _bordered_bounds(flat, n, subs, rows):
@@ -262,11 +256,11 @@ def _picked_values(grams, kernel: KernelId, picks, subs, rows):
     return spectral_value(kernel, *gram_extremes(blocks, rows=rows))
 
 
-def _max_values(grams, kernel: KernelId, subs, rows):
-    """Per-matrix maximum kernel value over subs -> (B,), as exhaustive evaluation gives it.
+def _max_values(grams, kernel: KernelId, k, rows):
+    """Per-matrix max kernel value over all size-k subsets -> (B,), equal to exhaustive evaluation.
 
-    For coherence subs is None (see _every_subset) and the max over all pairs
-    is read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2
+    grams: (B, n, n) over all n columns.  The coherence max over all pairs is
+    read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2
     every subset is evaluated, slice by slice.  At k > m every sigma2_min is
     exactly 0, so the neg_sigma_min_sq max is -0.0 with no eigvalsh.
     Otherwise (k >= 3) this is an exact branch and bound over the same slices
@@ -280,10 +274,9 @@ def _max_values(grams, kernel: KernelId, subs, rows):
     """
     if kernel.needs_pair:
         return gram_mutual_coherence(grams)
-    k = subs.shape[1]
     if kernel.variant == "neg_sigma_min_sq" and k > rows:
         return np.full(len(grams), -0.0)
-    slices = _slices(subs, len(grams))
+    slices = _slices(grams.shape[-1], k, len(grams))
     if k < 3:
         return functools.reduce(np.maximum, (_batch_values(grams, kernel, part, rows).max(axis=1) for part in slices))
     top = None
@@ -299,9 +292,10 @@ def _max_values(grams, kernel: KernelId, subs, rows):
 def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
     """Kernel values of one matrix over all size-k subsets, enumeration order."""
     phi = _checked(phi)
+    m, n = phi.shape
+    _checked_count(n, k, cap)
     grams = gram_stack(phi[None])
-    subs = _subsets_array(phi.shape[1], k, cap)
-    return np.concatenate([_batch_values(grams, kernel, part, phi.shape[0])[0] for part in _slices(subs, 1)])
+    return np.concatenate([_batch_values(grams, kernel, part, m)[0] for part in _slices(n, k, 1)])
 
 
 def u_statistic(phi, kernel: KernelId, k: int, a: float, cap: int = DEFAULT_SUBSET_CAP) -> float:
@@ -316,8 +310,8 @@ def max_over_subsets(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CA
     For the coherence kernel this is the mutual coherence of the matrix.
     """
     phi = _checked(phi)
-    subs = _every_subset(phi.shape[1], k, kernel, cap)
-    return float(_max_values(gram_stack(phi[None]), kernel, subs, phi.shape[0])[0])
+    _check_k(phi.shape[1], k, kernel, cap)
+    return float(_max_values(gram_stack(phi[None]), kernel, k, phi.shape[0])[0])
 
 
 @dataclass(frozen=True)
@@ -364,10 +358,7 @@ def _tail_counts(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < k <= spec.n:
-        raise ValueError(f"need 0 < k <= n, got k={k}, n={spec.n}")
-    if kernel.needs_pair and k != 2:
-        raise ValueError("coherence kernel requires k = 2")
+    _check_k(spec.n, k, kernel, cap)
     for sub in fixed:
         # integers only: a float index would be truncated into a duplicate
         valid_indices = all(isinstance(i, (int, np.integer)) and 0 <= i < spec.n for i in sub)
@@ -377,10 +368,10 @@ def _tail_counts(
     fixed = np.asarray(fixed, dtype=np.int64).reshape(len(fixed), k)
     packed = kernel.needs_pair and spec.family == "bernoulli"
     if cap is None:
-        cols, every = np.unique(fixed), None
+        cols = np.unique(fixed)
         local = np.searchsorted(cols, fixed)
     else:
-        cols, every, local = slice(None), _every_subset(spec.n, k, kernel, cap), fixed
+        cols, local = slice(None), fixed
 
     def chunk_counts(start, stop):
         if packed:
@@ -390,7 +381,7 @@ def _tail_counts(
         else:
             # one expression, so the sampled stack is freed once its Gram is built
             grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
-            top = _max_values(grams, kernel, every, spec.m) if cap is not None else None
+            top = _max_values(grams, kernel, k, spec.m) if cap is not None else None
             values = _batch_values(grams, kernel, local, spec.m) if events else None
         rows = []
         if top is not None:

@@ -176,6 +176,30 @@ def test_invalid_spec_rejected(kwargs):
         EnsembleSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"family": "gaussian", "m": 3, "n": 4, "base_seed": 1.5},
+        {"family": "gaussian", "m": 30, "n": 40, "base_seed": 1.9},
+        {"family": "gaussian", "m": 2.5, "n": 4},
+        {"family": "gaussian", "m": 3, "n": 4.0},
+        {"family": "gaussian", "m": True, "n": 4},
+        {"family": "bernoulli", "m": 3, "n": 4, "base_seed": False},
+        {"family": "gaussian", "m": 3, "n": 4, "base_seed": "7"},
+    ],
+)
+def test_non_integer_spec_rejected(kwargs):
+    # a float seed or shape used to be truncated into another spec's matrices
+    with pytest.raises(ValueError, match="must be an integer"):
+        EnsembleSpec(**kwargs)
+
+
+def test_numpy_integer_spec_samples_like_python_ints():
+    for m, n in ((3, 4), (30, 40)):  # vectorized rounds and a reseated generator
+        spec = EnsembleSpec("gaussian", np.int64(m), np.int64(n), np.uint64(7))
+        assert np.array_equal(sample_batch(spec, 0, 3), sample_batch(EnsembleSpec("gaussian", m, n, 7), 0, 3))
+
+
 def test_row_outer_products_rejects_bad_args():
     with pytest.raises(ValueError):
         row_outer_products(np.eye(2), scale=0.0)

@@ -168,6 +168,30 @@ def test_eps_std_err_at_unit_tails(kind):
         assert math.isfinite(se) and se >= 0.0
 
 
+def test_out_of_range_joint_tail_named_by_its_overlap():
+    # eps_single's q_top is q_{k-1}; eps_full and eps_mid number q_1..q_{k-1}
+    with pytest.raises(ValueError, match=r"joint tail q_2 must be in \[0, 1\], got 1.5"):
+        eps_single(6, 3, 0.1, 1.5)
+    for bound in (eps_full, eps_mid):
+        with pytest.raises(ValueError, match=r"joint tail q_1 must be in \[0, 1\], got 1.5"):
+            bound(6, 3, 0.1, (1.5, 0.05))
+        with pytest.raises(ValueError, match=r"joint tail q_2 must be in \[0, 1\], got -0.5"):
+            bound(6, 3, 0.1, (0.05, -0.5))
+
+
+def test_eps_std_err_single_refuses_k1():
+    with pytest.raises(ValueError, match="eps_single requires k >= 2"):
+        eps_std_err("single", 5, 1, 0.5, (), 0.01, ())
+
+
+@pytest.mark.parametrize("kind", ["full", "mid", "single"])
+@pytest.mark.parametrize("q_se", [(0.01,), (0.01, 0.01, 0.01)])
+def test_eps_std_err_refuses_mismatched_q_se(kind, q_se):
+    # a short q_se used to drop the standard errors it lacked
+    with pytest.raises(ValueError, match="one standard error per joint tail"):
+        eps_std_err(kind, 5, 3, 0.5, (0.1, 0.2), 0.01, q_se)
+
+
 def test_nan_lambda_refused():
     for approx in (poisson_zero_approx, poisson_nonzero_approx):
         with pytest.raises(ValueError, match="lambda must be nonnegative"):

@@ -329,7 +329,7 @@ def test_coherence_max_builds_no_pair_list(monkeypatch):
     spec = EnsembleSpec("bernoulli", 6, 9, base_seed=33)
     grid = np.linspace(0.0, 1.0, 7)
     tops = np.array([subset_values(phi, COHERENCE, 2).max() for phi in sample_batch(spec, 0, 40)])
-    monkeypatch.setattr(ustat, "_subsets_array", _refuse)
+    monkeypatch.setattr(ustat, "_slices", _refuse)
     est = mc_extreme_tail(spec, COHERENCE, 2, grid, trials=40)
     assert [e.point for e in est] == [np.count_nonzero(tops > a) / 40 for a in grid]
     phi = sample_batch(spec, 0, 1)[0]
@@ -339,7 +339,7 @@ def test_coherence_max_builds_no_pair_list(monkeypatch):
 def test_coherence_cap_refused_before_sampling(monkeypatch):
     # C(1415, 2) = 1,000,405 is just over the cap
     monkeypatch.setattr(ustat, "sample_batch", _refuse)
-    monkeypatch.setattr(ustat, "_subsets_array", _refuse)
+    monkeypatch.setattr(ustat, "_slices", _refuse)
     spec = EnsembleSpec("bernoulli", 50, 1415, base_seed=7)
     with pytest.raises(EnumerationInfeasibleError, match=r"C\(1415,2\) = 1000405"):
         mc_extreme_tail(spec, COHERENCE, 2, [0.5], trials=512)
@@ -481,7 +481,7 @@ def test_pruned_extreme_counts_match_exhaustive_at_ties(kernel, threads):
 
 def test_eigvalsh_of_gathered_candidates_matches_full_stack():
     grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 12, base_seed=42), 0, 16))
-    subs = ustat._subsets_array(12, 4, 10**6)
+    subs = np.array(list(subsets(12, 4)))
     full = np.linalg.eigvalsh(grams[:, subs[:, :, None], subs[:, None, :]])
     picks, pos = np.nonzero(np.random.default_rng(42).random(full.shape[:2]) < 0.03)
     gathered = np.linalg.eigvalsh(grams[picks[:, None, None], subs[pos][:, :, None], subs[pos][:, None, :]])
@@ -510,7 +510,7 @@ def test_bordered_bounds_bracket_every_subset_before_the_margin():
     for phi, k in _exact_cases():
         m, n = phi.shape
         grams = gram_stack(phi[None])
-        subs = ustat._subsets_array(n, k, 10**6)
+        subs = np.array(list(subsets(n, k)))
         lb_smin, ub_smax = ustat._bordered_bounds(grams.reshape(1, n * n), n, subs, m)
         smin, smax = ustat.gram_extremes(grams[:, subs[:, :, None], subs[:, None, :]], rows=m)
         slack = 64 * np.finfo(np.float64).eps * ub_smax
@@ -523,7 +523,7 @@ def test_bordered_bounds_bracket_every_subset_before_the_margin():
 def test_subset_reach_covers_every_subset_value(kernel):
     for phi, k in _exact_cases():
         m, n = phi.shape
-        subs = ustat._subsets_array(n, k, 10**6)
+        subs = np.array(list(subsets(n, k)))
         reach = ustat._subset_reach(gram_stack(phi[None]), kernel, subs, m)[0]
         assert np.all(reach >= subset_values(phi, kernel, k))
 
@@ -555,10 +555,9 @@ def test_pruned_max_memory_on_a_wide_stack():
     # 64 trials of 10 x 40 at k = 4: one block of 32,768 subsets holds a
     # 16 MiB bound array; prefix tables over every 3-subset would add to it
     grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 40, base_seed=7), 0, 64))
-    subs = ustat._subsets_array(40, 4, 10**6)
     tracemalloc.start()
     try:
-        ustat._max_values(grams, RIC, subs, 10)
+        ustat._max_values(grams, RIC, 4, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -569,10 +568,9 @@ def test_pruned_max_memory_is_slice_sized():
     # the same stack as above: bounds, candidate picks and their Grams are
     # held one slice at a time, so nothing scales with C(40, 4)
     grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 40, base_seed=7), 0, 64))
-    subs = ustat._subsets_array(40, 4, 10**6)
     tracemalloc.start()
     try:
-        ustat._max_values(grams, RIC, subs, 10)
+        ustat._max_values(grams, RIC, 4, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -619,9 +617,9 @@ def test_pruned_max_bitwise_with_one_subset_per_slice(monkeypatch, kernel):
         exhaustive = subset_values(phi, kernel, k).max()
         assert _bits(max_over_subsets(phi, kernel, k)) == _bits(exhaustive)
     grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 14, base_seed=44), 0, 40))
-    subs = ustat._subsets_array(14, 4, 10**6)
+    subs = np.array(list(subsets(14, 4)))
     exhaustive = ustat._batch_values(grams, kernel, subs, 10).max(axis=1)
-    assert _bits(ustat._max_values(grams, kernel, subs, 10)) == _bits(exhaustive)
+    assert _bits(ustat._max_values(grams, kernel, 4, 10)) == _bits(exhaustive)
 
 
 @pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
@@ -630,32 +628,42 @@ def test_pruned_max_gathers_candidates_under_the_block_budget(monkeypatch, kerne
     # C(24, 20) = 10,626 subsets, and a weak bound keeps most of them
     monkeypatch.setattr(ustat, "_BLOCK_BYTES", 1 << 16)
     grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 22, 24, base_seed=43), 0, 2))
-    subs = ustat._subsets_array(24, 20, 10**6)
     seen = _recorded_matrices(monkeypatch)
-    ustat._max_values(grams, kernel, subs, 22)
+    ustat._max_values(grams, kernel, 20, 22)
     assert 0 < max(seen) <= ustat._BLOCK_BYTES // (20 * 20 * 8)
 
 
 def test_slices_cover_subsets_in_order_at_the_slice_size():
-    subs = ustat._subsets_array(60, 2, 10**6)
+    subs = np.array(list(subsets(60, 2)))
     step = ustat._SLICE_BYTES // (512 * 8)  # 64 pairs of a 512-trial chunk
-    parts = list(ustat._slices(subs, 512))
+    parts = list(ustat._slices(60, 2, 512))
     assert [len(part) for part in parts] == [step] * (1770 // step) + [1770 % step]
     assert _bits(np.concatenate(parts)) == _bits(subs)
-    assert [len(part) for part in ustat._slices(subs, 1)] == [1770]
+    assert [len(part) for part in ustat._slices(60, 2, 1)] == [1770]
     # at k = 40 a slice of 32,768 subsets would gather 400 MiB of Grams
-    wide = np.broadcast_to(np.arange(40), (10**5, 40))
-    assert len(next(ustat._slices(wide, 1))) == ustat._BLOCK_BYTES // (40 * 40 * 8)
+    assert len(next(ustat._slices(44, 40, 1))) == ustat._BLOCK_BYTES // (40 * 40 * 8)
+
+
+def test_extreme_tail_memory_near_the_cap_is_slice_sized():
+    # C(23, 9) = 817,190 subsets: an array of all of them takes 56 MiB, more
+    # than every slice, Gram and bound of this one-trial run together
+    spec = EnsembleSpec("gaussian", 10, 23, base_seed=7)
+    tracemalloc.start()
+    try:
+        mc_extreme_tail(spec, SIGMA_MAX_SQ, 9, [1.0], trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_exhaustive_max_memory_is_slice_sized():
     # 512 trials of 20 x 60 at k = 2: evaluating all 1770 pairs at once peaks
     # at 62 MiB, while a slice of 64 pairs gathers 1 MiB of 2 x 2 Grams
     grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 20, 60, base_seed=7), 0, 512))
-    subs = ustat._subsets_array(60, 2, 10**6)
     tracemalloc.start()
     try:
-        ustat._max_values(grams, RIC, subs, 20)
+        ustat._max_values(grams, RIC, 2, 20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -670,9 +678,9 @@ def test_exhaustive_max_bitwise_with_one_subset_per_slice(monkeypatch, kernel):
     stacks.append((gram_stack(phi), phi.shape[1:]))
     for grams, (m, n) in stacks:
         for k in (1, 2):
-            subs = ustat._subsets_array(n, k, 10**6)
+            subs = np.array(list(subsets(n, k)))
             exhaustive = ustat._batch_values(grams, kernel, subs, m).max(axis=1)
-            assert _bits(ustat._max_values(grams, kernel, subs, m)) == _bits(exhaustive)
+            assert _bits(ustat._max_values(grams, kernel, k, m)) == _bits(exhaustive)
 
 
 @pytest.mark.parametrize("kernel", [COHERENCE, *EIGEN_KERNELS], ids=lambda kern: kern.variant)
