@@ -15,15 +15,22 @@ overlap (q_r <= q_{k-1}):
 
 All binomial products are accumulated in the log domain with one final
 exponentiation, saturating at the LARGE sentinel instead of overflowing.
+
+The eps floats come from the in-repo ``_logsumexp``; of scipy only ``gammaln``
+is still used.  Do not vectorise ``_logsumexp`` over grid rows by padding them
+with -inf to one width: numpy's pairwise sum associates differently from 8
+terms on, so a padded row of 5-7 terms can sum to another float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import gammaln, logsumexp
+import numpy as np
+from scipy.special import gammaln
 
 LARGE = 1e300           # saturation sentinel for exponentiated log-domain values
 _LOG_LARGE = math.log(LARGE)
@@ -35,8 +42,35 @@ def _sat_exp(log_value):
     return math.exp(log_value)
 
 
+def _logsumexp(terms) -> float:
+    """ln(sum(exp(terms))) of a nonempty list of finite floats.
+
+    The algorithm of Blanchard, Higham & Higham (IMA J. Numer. Anal. 41(4),
+    2021), as scipy.special.logsumexp runs it, on the same numpy ufuncs in
+    the same order, so the floats are scipy 1.17's: the max entries are set
+    aside and the result is log1p(sum(exp(a - max)) / #max) + log(#max) + max.
+    """
+    a = np.array(terms, dtype=np.float64)
+    top = a.max()
+    at_top = a == top
+    count = np.count_nonzero(at_top)
+    # scipy skips the division when the sum is 0; with count >= 1 it gives 0 too
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum() / count
+    return float(np.log1p(s) + np.log(count) + top)
+
+
+# typed: a float or bool argument must miss every int's entry and be refused;
+# 4096 entries hold the 2k - 1 binomials of one (n, k) for k up to 2048
+@functools.lru_cache(maxsize=4096, typed=True)
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via log-gamma; exact to ~1e-10 relative for n up to 1e4."""
+    """ln C(n, k) via log-gamma; exact to ~1e-10 relative for n up to 1e4.
+
+    Computed once per integer (n, k): every grid row's eps bounds need the
+    same few binomials.
+    """
+    for value in (n, k):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
@@ -107,7 +141,7 @@ def eps_full(n: int, k: int, p: float, q) -> float:
     factor, log_first, overlaps = _eps_terms(n, k, p, tuple(q))
     log_p = math.log(p)
     logs = [log_first] + [c + log_q - log_p for c, log_q in overlaps]
-    return min(factor * _sat_exp(float(logsumexp(logs))), LARGE)
+    return min(factor * _sat_exp(_logsumexp(logs)), LARGE)
 
 
 def eps_mid(n: int, k: int, p: float, q) -> float:
@@ -115,7 +149,7 @@ def eps_mid(n: int, k: int, p: float, q) -> float:
     factor, log_first, overlaps = _eps_terms(n, k, p, tuple(q))
     log_total = log_binomial(n, k)
     logs = [c + log_total + log_q for c, log_q in overlaps]
-    second = _sat_exp(float(logsumexp(logs))) if logs else 0.0
+    second = _sat_exp(_logsumexp(logs)) if logs else 0.0
     return min(factor * _sat_exp(log_first) + second, LARGE)
 
 
@@ -180,6 +214,8 @@ def eps_std_err(kind: str, n: int, k: int, p: float, q, p_se: float, q_se) -> fl
             f_hi, f_lo = evaluate(p, qs_hi), evaluate(p, qs_lo)
         return (f_hi - f_lo) / (hi - lo)
 
+    # refuse a bad point as passed; both of its steps may lie in the domain
+    evaluate(p, q)
     var = (partial(-1) * p_se) ** 2
     for idx, se in enumerate(q_se):
         if kind == "single" and idx != len(q) - 1:

@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from uniontight.poisson import (
     LARGE,
     PoissonReport,
+    _logsumexp,
     eps_full,
     eps_mid,
     eps_single,
@@ -35,6 +37,44 @@ def test_log_binomial_range_errors():
     for n, k in ((3, 4), (3, -1), (-1, 0)):
         with pytest.raises(ValueError):
             log_binomial(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(5.5, 2), (5, 2.0), (5.0, 2), (True, 1), (1, False)])
+def test_log_binomial_refuses_non_integers(n, k):
+    # cached per (n, k) by type: a refusal is not cached, nor hidden by an
+    # equal integer's entry (5.0 == 5 and True == 1 as keys)
+    log_binomial(5, 2)
+    log_binomial(1, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be integers"):
+            log_binomial(n, k)
+
+
+def test_log_binomial_accepts_numpy_integers():
+    assert log_binomial(np.int64(10), np.int32(3)) == log_binomial(10, 3)
+
+
+def test_logsumexp_bytes_equal_scipy():
+    # lengths 1-12, ties at the max (some rows all equal) and spreads up to
+    # +-700, the span of ln LARGE
+    rng = np.random.default_rng(15)
+    seen = set()
+    for _ in range(5000):
+        length = int(rng.integers(1, 13))
+        spread = float(rng.choice([1e-3, 1.0, 30.0, 700.0]))
+        a = rng.uniform(-700.0, 700.0) + spread * rng.uniform(-1.0, 1.0, length)
+        u = rng.random()
+        if u < 0.2:
+            a[rng.integers(length, size=length)] = a.max()
+        elif u < 0.3:
+            a[:] = a[0]
+        elif u < 0.5:
+            a = np.round(a)
+        ties = int(np.count_nonzero(a == a.max()))
+        seen.add("tied max" if 1 < ties < length else "all equal" if ties > 1 else "one max")
+        terms = [float(x) for x in a]
+        assert np.float64(_logsumexp(terms)).tobytes() == np.float64(logsumexp(terms)).tobytes()
+    assert seen == {"one max", "tied max", "all equal"}
 
 
 def test_lambda_n_values():
@@ -177,6 +217,13 @@ def test_out_of_range_joint_tail_named_by_its_overlap():
             bound(6, 3, 0.1, (1.5, 0.05))
         with pytest.raises(ValueError, match=r"joint tail q_2 must be in \[0, 1\], got -0.5"):
             bound(6, 3, 0.1, (0.05, -0.5))
+
+
+@pytest.mark.parametrize("p", [1.0000005, 1.5])
+def test_eps_std_err_refuses_p_above_one_as_passed(p):
+    # both steps of 1.0000005 lie in (0, 1]; the refusal names p, not a step
+    with pytest.raises(ValueError, match=rf"got {p}$"):
+        eps_std_err("full", 5, 1, p, (), 0.01, ())
 
 
 def test_eps_std_err_single_refuses_k1():
