@@ -48,7 +48,6 @@ from .poisson import (
     eps_full,
     eps_mid,
     eps_single,
-    eps_std_err,
     lambda_n,
     log_binomial,
     poisson_nonzero_approx,

@@ -172,58 +172,6 @@ def eps_single(n: int, k: int, p: float, q_top: float) -> float:
     return min(first + _sat_exp(log_coeff + math.log(q_top)), LARGE)
 
 
-def eps_std_err(kind: str, n: int, k: int, p: float, q, p_se: float, q_se) -> float:
-    """First-order MC error propagation for one eps bound.
-
-    Returns sqrt((d eps/dp * p_se)^2 + sum_r (d eps/dq_r * q_se_r)^2) with
-    partial derivatives taken by central finite differences.  ``q`` and
-    ``q_se`` are the q_1..q_{k-1} vectors (for ``kind="single"`` only the last
-    entry is used).
-    """
-    if kind not in ("full", "mid", "single"):
-        raise ValueError(f"unknown eps kind {kind!r}")
-    q = tuple(q)
-    q_se = tuple(q_se)
-    if len(q_se) != len(q):
-        raise ValueError(f"need one standard error per joint tail, got {len(q_se)} for {len(q)}")
-    if kind == "single" and k < 2:
-        raise ValueError("eps_single requires k >= 2")
-
-    def evaluate(pv, qv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if kind == "full":
-                return eps_full(n, k, pv, qv)
-            if kind == "mid":
-                return eps_mid(n, k, pv, qv)
-            return eps_single(n, k, pv, qv[-1])
-
-    def partial(index):
-        # index -1 is p, otherwise q[index]
-        base = p if index < 0 else q[index]
-        h = max(abs(base), 1e-12) * 1e-6
-        # steps stay inside the tails' domain; at 1 the difference is one-sided
-        lo, hi = base - h, min(base + h, 1.0)
-        if index < 0:
-            lo = max(lo, 1e-300)
-            f_hi, f_lo = evaluate(hi, q), evaluate(lo, q)
-        else:
-            lo = max(lo, 0.0)
-            qs_hi = q[:index] + (hi,) + q[index + 1 :]
-            qs_lo = q[:index] + (lo,) + q[index + 1 :]
-            f_hi, f_lo = evaluate(p, qs_hi), evaluate(p, qs_lo)
-        return (f_hi - f_lo) / (hi - lo)
-
-    # refuse a bad point as passed; both of its steps may lie in the domain
-    evaluate(p, q)
-    var = (partial(-1) * p_se) ** 2
-    for idx, se in enumerate(q_se):
-        if kind == "single" and idx != len(q) - 1:
-            continue
-        var += (partial(idx) * se) ** 2
-    return math.sqrt(var)
-
-
 @dataclass(frozen=True)
 class PoissonReport:
     """Per-threshold bundle: tails, lambda, e^-lambda and the three error bounds.

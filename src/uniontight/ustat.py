@@ -22,8 +22,13 @@ floats as the lattice Gram.
 
 The four Monte-Carlo estimators are selections of one count engine
 (``_tail_counts``): per trial it evaluates a few fixed subsets and, when
-asked, the max over all subsets, and counts the trials in which every subset
-of an event exceeds the threshold.  One kernel evaluation per trial serves
+asked, the max over all subsets.  Every output row is one per-trial
+statistic, the max over all subsets or the min over an event's subsets (all
+of them exceed a exactly when their min does), and every row is counted by
+one rule: sort the chunk's statistic and ``searchsorted`` the grid into it,
+so counting takes O(trials + grid) memory.  That count is exact for any
+grid as long as no value is NaN, which the kernels never yield from sampled
+(finite) matrices.  One kernel evaluation per trial serves
 the whole threshold grid, so estimated tail curves are monotone by
 construction, and integer counts accumulate over fixed-size trial chunks, so
 results are invariant to the degree of parallelism.  Within a chunk every
@@ -349,12 +354,19 @@ def _tail_counts(
 ):
     """(grid, integer count rows) of one pass over the trial stream.
 
-    With ``cap`` set, the Grams span all n columns and the first row counts
-    the trials whose max over all size-k subsets (enumeration refused above
-    ``cap``) exceeds a; otherwise they span only the columns of the ``fixed``
-    subsets.  Each event, a tuple of positions into ``fixed``, adds the row
-    of trials in which every subset it names exceeds a.  Bernoulli coherence
-    builds no Gram: both rows are read from the chunk's packed sign words.
+    Every row counts the trials whose statistic exceeds a, by one rule: B
+    minus the ``searchsorted(sort(v), grid, "right")`` of the chunk's B
+    per-trial values v, so counting holds O(trials + grid) memory.  With
+    ``cap`` set, the Grams span all n columns and the first row's statistic
+    is the max over all size-k subsets (enumeration refused above ``cap``);
+    otherwise they span only the columns of the ``fixed`` subsets.  Each
+    event, a tuple of positions into ``fixed``, adds a row whose statistic
+    is the min over the subsets it names: every one of them exceeds a
+    exactly when their min does.  The rule equals ``1{value > a}`` at every
+    grid point (ties, +-0.0, +-inf and NaN among them) as long as no value
+    is NaN; the kernels yield none from sampled (finite) matrices.  Bernoulli
+    coherence builds no Gram: its values are read from the chunk's packed
+    sign words.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -365,6 +377,8 @@ def _tail_counts(
         if len(sub) != k or len(set(sub)) != k or not valid_indices:
             raise ValueError("subset must hold k distinct integer column indices in range")
     grid = np.asarray(a_grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"a_grid must be one-dimensional, got shape {grid.shape}")
     fixed = np.asarray(fixed, dtype=np.int64).reshape(len(fixed), k)
     packed = kernel.needs_pair and spec.family == "bernoulli"
     if cap is None:
@@ -383,14 +397,9 @@ def _tail_counts(
             grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
             top = _max_values(grams, kernel, k, spec.m) if cap is not None else None
             values = _batch_values(grams, kernel, local, spec.m) if events else None
-        rows = []
-        if top is not None:
-            rows.append(np.count_nonzero(top[:, None] > grid, axis=0))
-        if events:
-            exceed = values[:, :, None] > grid
-            for event in events:
-                rows.append(np.count_nonzero(exceed[:, list(event)].all(axis=1), axis=0))
-        return np.stack(rows)
+        stats = [top] if cap is not None else []
+        stats += [values[:, list(event)].min(axis=1) for event in events]
+        return np.stack([len(v) - np.searchsorted(np.sort(v), grid, side="right") for v in stats])
 
     return grid, _accumulate_counts(trials, threads, chunk_counts)
 

@@ -13,7 +13,6 @@ from uniontight.poisson import (
     eps_full,
     eps_mid,
     eps_single,
-    eps_std_err,
     lambda_n,
     log_binomial,
     poisson_nonzero_approx,
@@ -183,31 +182,6 @@ def test_large_sentinel_saturation():
     assert math.isfinite(eps_full(10_000, 10, 0.5, [0.5] * 9))
 
 
-def test_eps_std_err_matches_analytic_k1():
-    n, p, p_se = 10, 0.1, 0.004
-    grad = poisson_nonzero_approx(n * p) + n * p * math.exp(-n * p)
-    want = abs(grad) * p_se
-    got = eps_std_err("full", n, 1, p, (), p_se, ())
-    assert got == pytest.approx(want, rel=1e-4)
-
-
-def test_eps_std_err_combines_p_and_q():
-    se = eps_std_err("mid", 6, 2, 0.1, (0.02,), 0.003, (0.001,))
-    only_p = eps_std_err("mid", 6, 2, 0.1, (0.02,), 0.003, (0.0,))
-    only_q = eps_std_err("mid", 6, 2, 0.1, (0.02,), 0.0, (0.001,))
-    assert se == pytest.approx(math.hypot(only_p, only_q), rel=1e-9)
-    with pytest.raises(ValueError):
-        eps_std_err("tight", 6, 2, 0.1, (0.02,), 0.003, (0.001,))
-
-
-@pytest.mark.parametrize("kind", ["full", "mid", "single"])
-def test_eps_std_err_at_unit_tails(kind):
-    # the upper step of p = 1 or q_r = 1 would leave [0, 1]; it stops at 1
-    for q in ((0.5,), (1.0,)):
-        se = eps_std_err(kind, 5, 2, 1.0, q, 0.01, (0.01,))
-        assert math.isfinite(se) and se >= 0.0
-
-
 def test_out_of_range_joint_tail_named_by_its_overlap():
     # eps_single's q_top is q_{k-1}; eps_full and eps_mid number q_1..q_{k-1}
     with pytest.raises(ValueError, match=r"joint tail q_2 must be in \[0, 1\], got 1.5"):
@@ -217,26 +191,6 @@ def test_out_of_range_joint_tail_named_by_its_overlap():
             bound(6, 3, 0.1, (1.5, 0.05))
         with pytest.raises(ValueError, match=r"joint tail q_2 must be in \[0, 1\], got -0.5"):
             bound(6, 3, 0.1, (0.05, -0.5))
-
-
-@pytest.mark.parametrize("p", [1.0000005, 1.5])
-def test_eps_std_err_refuses_p_above_one_as_passed(p):
-    # both steps of 1.0000005 lie in (0, 1]; the refusal names p, not a step
-    with pytest.raises(ValueError, match=rf"got {p}$"):
-        eps_std_err("full", 5, 1, p, (), 0.01, ())
-
-
-def test_eps_std_err_single_refuses_k1():
-    with pytest.raises(ValueError, match="eps_single requires k >= 2"):
-        eps_std_err("single", 5, 1, 0.5, (), 0.01, ())
-
-
-@pytest.mark.parametrize("kind", ["full", "mid", "single"])
-@pytest.mark.parametrize("q_se", [(0.01,), (0.01, 0.01, 0.01)])
-def test_eps_std_err_refuses_mismatched_q_se(kind, q_se):
-    # a short q_se used to drop the standard errors it lacked
-    with pytest.raises(ValueError, match="one standard error per joint tail"):
-        eps_std_err(kind, 5, 3, 0.5, (0.1, 0.2), 0.01, q_se)
 
 
 def test_nan_lambda_refused():

@@ -231,7 +231,7 @@ def test_extreme_experiment_matches_individual_estimators():
     assert [e.point for e in run.extreme] == [e.point for e in ext]
 
 
-def test_mc_argument_validation():
+def test_mc_argument_validation(monkeypatch):
     spec = EnsembleSpec("gaussian", 4, 6, base_seed=1)
     with pytest.raises(ValueError):
         mc_marginal_tail(spec, SIGMA_MAX_SQ, 2, [1.0], trials=0)
@@ -251,6 +251,14 @@ def test_mc_argument_validation():
         mc_extreme_tail(spec, COHERENCE, 3, [0.5], trials=10)
     with pytest.raises(ValueError, match="coherence kernel requires k = 2"):
         max_over_subsets(np.random.default_rng(1).standard_normal((5, 6)), COHERENCE, 3)
+    # a grid that is not one-dimensional is refused before anything is sampled
+    monkeypatch.setattr(ustat, "sample_batch", _refuse)
+    with pytest.raises(ValueError, match="a_grid must be one-dimensional"):
+        mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, 2.0, 600)
+    with pytest.raises(ValueError, match="a_grid must be one-dimensional"):
+        mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, [[1.0, 2.0], [3.0, 4.0]], 600)
+    with pytest.raises(ValueError, match="a_grid must be one-dimensional"):
+        extreme_experiment(spec, SIGMA_MAX_SQ, 2, [[1.0], [2.0]], 600)
 
 
 def test_subset_count_helper():
@@ -479,6 +487,33 @@ def test_pruned_extreme_counts_match_exhaustive_at_ties(kernel, threads):
         assert [e.point for e in est] == [np.count_nonzero(tops > a) / 600 for a in grid]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kernel", [COHERENCE, *EIGEN_KERNELS], ids=lambda kern: kern.variant)
+def test_event_counts_match_a_recount_at_ties(kernel, threads):
+    # thresholds at the fixed subsets' own values and at -0.0, 0.0 and +-inf
+    # (600 trials are two chunks; 3 x 7 with k = 4 is rank deficient, so its
+    # neg_sigma_min_sq values are -0.0)
+    if kernel.needs_pair:
+        cases = [("gaussian", 4, 2), ("bernoulli", 4, 2)]
+    else:
+        cases = [("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)]
+    for ensemble, m, k in cases:
+        spec = EnsembleSpec(ensemble, m, 7, base_seed=42)
+        overlaps = list(range(1, k))
+        fixed = [tuple(range(k))] + [canonical_pair(k, i, 7).second for i in overlaps]
+        at = [list(subsets(7, k)).index(sub) for sub in fixed]
+        values = np.array([subset_values(phi, kernel, k)[at] for phi in sample_batch(spec, 0, 600)])
+        if kernel is NEG_SIGMA_MIN_SQ and k > m:
+            assert np.all(values == 0.0) and np.all(np.signbit(values))
+        grid = np.concatenate([[-np.inf, -0.0, 0.0, np.inf], np.unique(values)])
+        exceed = values[:, :, None] > grid
+        run = extreme_experiment(spec, kernel, k, grid, trials=600, overlaps=overlaps, threads=threads)
+        assert [e.point for e in run.marginal] == list(np.count_nonzero(exceed[:, 0], axis=0) / 600)
+        for pos, i in enumerate(overlaps, start=1):
+            joint = np.count_nonzero(exceed[:, 0] & exceed[:, pos], axis=0) / 600
+            assert [e.point for e in run.joint[i]] == list(joint)
+
+
 def test_eigvalsh_of_gathered_candidates_matches_full_stack():
     grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 12, base_seed=42), 0, 16))
     subs = np.array(list(subsets(12, 4)))
@@ -651,6 +686,21 @@ def test_extreme_tail_memory_near_the_cap_is_slice_sized():
     tracemalloc.start()
     try:
         mc_extreme_tail(spec, SIGMA_MAX_SQ, 9, [1.0], trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_tail_count_memory_does_not_grow_with_trials_times_grid():
+    # 512 trials and 100,000 thresholds: comparing every event value with
+    # every threshold at once peaked at 246 MiB; sorting each row's per-trial
+    # statistic needs the trials and the grid, not their product
+    spec = EnsembleSpec("gaussian", 5, 10, base_seed=7)
+    grid = np.linspace(0.0, 4.0, 100_000)
+    tracemalloc.start()
+    try:
+        ustat._tail_counts(spec, SIGMA_MAX_SQ, 2, grid, 512, 1, [(0, 1), (1, 2)], [(0,), (0, 1)], cap=10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
