@@ -10,11 +10,13 @@ like the flags) > built-in defaults.  Subcommands that take ``--seed`` read
 its default from the UNIONTIGHT_SEED environment variable when it is set.
 
 Exit codes: 0 success, 1 invalid configuration, 2 infeasible enumeration,
-3 self-check failure.
+3 self-check failure, 4 out of memory (an allocation failed, such as the
+n x n Gram of one trial at a very large n).
 
 CSVs are deterministic: float cells use 17-significant-digit round-trip
-formatting, counts are accumulated in fixed-size chunks, and output is
-byte-identical across runs and thread counts for a fixed configuration.
+formatting, counts are exact integers summed over trial chunks sized from one
+byte budget (``ustat._CHUNK_BYTES``), and output is byte-identical across
+runs and thread counts for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_CHECK_FAILED = 3
+EXIT_MEMORY = 4
 
 
 class ConfigError(ValueError):
@@ -536,6 +539,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

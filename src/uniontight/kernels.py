@@ -5,7 +5,9 @@ submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A
 (Bernoulli coherence in the Monte-Carlo engine from its integer entries, see
 "Packed signs" below):
 ``gram_stack`` builds one n x n Gram per matrix, the eigen kernels take the
-extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``), and the
+extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``; at k = 2
+the closed form ``pair_extremes``, which the engine's max over all pairs also
+calls on G_ii, G_jj and G_ij read straight from whole Grams), and the
 coherence kernel reads |G_ij| / sqrt(G_ii G_jj) (``gram_coherence``).  The
 max of the coherence over all pairs (``gram_mutual_coherence``) is read from
 tiles of whole Grams, with no pair gathered.  The single-submatrix functions
@@ -132,17 +134,36 @@ def gram_extremes(grams: np.ndarray, rows=None):
     if k == 1:
         v = np.maximum(g[..., 0, 0], 0.0)
         return v, v
-    if k == 2:
-        gii, gjj, gij = g[..., 0, 0], g[..., 1, 1], g[..., 0, 1]
-        half_tr = 0.5 * (gii + gjj)
-        half_disc = 0.5 * np.sqrt((gii - gjj) ** 2 + 4.0 * gij**2)
-        smin, smax = np.maximum(half_tr - half_disc, 0.0), np.maximum(half_tr + half_disc, 0.0)
+    if k == 2:  # copies: pair_extremes overwrites its arguments
+        smin, smax = pair_extremes(g[..., 0, 0].copy(), g[..., 1, 1].copy(), g[..., 0, 1].copy())
     else:
         w = np.linalg.eigvalsh(g)
         smin, smax = np.maximum(w[..., 0], 0.0), np.maximum(w[..., -1], 0.0)
     if rows is not None and k > rows:
         smin = np.zeros_like(smin)
     return smin, smax
+
+
+def pair_extremes(gii, gjj, gij):
+    """(min, max) eigenvalues of the 2 x 2 Grams [[gii, gij], [gij, gjj]], clamped at 0.
+
+    The closed form (gii + gjj)/2 -+ sqrt((gii - gjj)^2 + 4 gij^2)/2, worked
+    in place: the three float64 arrays, distinct and of one shape, are
+    overwritten, and only one more of their size is allocated.  Each rounding
+    step is that of 0.5 * (gii + gjj) -+ 0.5 * sqrt((gii - gjj) ** 2 + 4.0 * gij ** 2).
+    """
+    half_disc = np.subtract(gii, gjj)
+    np.square(half_disc, out=half_disc)
+    np.square(gij, out=gij)
+    gij *= 4.0
+    half_disc += gij
+    np.sqrt(half_disc, out=half_disc)
+    half_disc *= 0.5
+    half_tr = np.add(gii, gjj, out=gii)
+    half_tr *= 0.5
+    smin = np.subtract(half_tr, half_disc, out=gjj)
+    smax = np.add(half_tr, half_disc, out=half_tr)
+    return np.maximum(smin, 0.0, out=smin), np.maximum(smax, 0.0, out=smax)
 
 
 def gram_coherence(grams: np.ndarray, pairs: np.ndarray) -> np.ndarray:

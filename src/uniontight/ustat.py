@@ -30,16 +30,23 @@ so counting takes O(trials + grid) memory.  That count is exact for any
 grid as long as no value is NaN, which the kernels never yield from sampled
 (finite) matrices.  One kernel evaluation per trial serves
 the whole threshold grid, so estimated tail curves are monotone by
-construction, and integer counts accumulate over fixed-size trial chunks, so
-results are invariant to the degree of parallelism.  Within a chunk every
+construction, and exact integer counts are summed over trial chunks, so
+results are invariant to the chunk size and the degree of parallelism.
+
+One byte budget for the whole run, ``_CHUNK_BYTES`` (2.5 MiB), sizes the
+chunks (``_chunk_spans``).  It is split across the min(threads, CPUs)
+workers, and a chunk holds max(1, budget // (workers * trial bytes)) trials,
+where a trial's bytes (``_trial_bytes``) are its sampled stack of all n
+columns and its Gram over the c columns in use, 8 (m n + c^2), or its packed
+sign words on the Bernoulli coherence path.  Within a chunk every
 enumeration of the subsets, exhaustive or pruned, walks them in one kind of
 slice (``_slices``): 256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound
-per matrix and subset, so a slice's gathered k x k Grams take k^2 times that,
-and ``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.  Both
-are per worker, so threads multiply them.  Each slice is filled straight
-from the lexicographic stream, so no array of every subset is built.  Neither
-bounds the sampled stack or the n x n Grams (n^2 * 8 bytes per trial); the
-packed Bernoulli coherence path needs no Gram.
+per matrix and subset, so a slice's gathered k x k Grams take k^2 times
+that, and ``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.
+Both are per worker, so threads multiply them.  Each slice is filled
+straight from the lexicographic stream, so no array of every subset is
+built.  A single trial larger than the budget still runs, as a chunk of its
+own.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -80,12 +87,18 @@ from .kernels import (
     gram_stack,
     packed_coherence,
     packed_mutual_coherence,
+    pair_extremes,
     spectral_value,
 )
 
 DEFAULT_SUBSET_CAP = 1_000_000
 
-_TRIAL_CHUNK = 512      # fixed so results do not depend on thread count
+# Byte budget of a whole run's trial chunks, split across its workers (see the
+# module notes).  It gives 5 x 10 Gaussian trials about 1,000 a chunk at two
+# workers: fewer numpy calls per trial keep two threads from queueing on the GIL.
+# Split rather than per worker, so a lone worker gets all of it: wide runs need
+# large chunks, since each chunk enumerates every subset again.
+_CHUNK_BYTES = 5 << 19  # 2.5 MiB
 _BLOCK_BYTES = 1 << 28  # cap on one slice's gathered k x k Grams, per worker; binds at k > 32
 _BOUND_MARGIN = 1e-9    # relative slack of a subset bound, far above eigvalsh rounding
 _SLICE_BYTES = 1 << 18  # per (matrices, subsets) value or bound array of one slice
@@ -173,6 +186,23 @@ def _batch_values(grams, kernel: KernelId, subs, rows):
     if kernel.needs_pair:
         return gram_coherence(grams, subs)
     smin, smax = gram_extremes(grams[:, subs[:, :, None], subs[:, None, :]], rows=rows)
+    return spectral_value(kernel, smin, smax)
+
+
+def _pair_values(grams, kernel: KernelId, pairs, rows):
+    """Eigen-kernel values of column pairs (N, 2), read entry by entry from (B, n, n) Grams -> (B, N).
+
+    G_ii, G_jj and G_ij are read straight from the Grams, with no (B, N, 2, 2)
+    gather, and ``kernels.pair_extremes`` works on them in place: the same
+    floats as ``_batch_values``, in about half its memory.  Only the k = 2 max
+    takes this path; the fixed-subset reads keep ``_batch_values``, so every
+    run still calls ``gram_extremes``, which the benchmark's span tracer wraps.
+    """
+    i, j = pairs[:, 0], pairs[:, 1]
+    diag = np.diagonal(grams, axis1=-2, axis2=-1)
+    smin, smax = pair_extremes(diag[:, i], diag[:, j], grams[:, i, j])
+    if rows < 2:  # rank one: sigma2_min is exactly 0, as gram_extremes(rows=1) has it
+        smin[:] = 0.0
     return spectral_value(kernel, smin, smax)
 
 
@@ -266,7 +296,8 @@ def _max_values(grams, kernel: KernelId, k, rows):
 
     grams: (B, n, n) over all n columns.  The coherence max over all pairs is
     read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2
-    every subset is evaluated, slice by slice.  At k > m every sigma2_min is
+    every subset is evaluated, slice by slice, the pairs of k = 2 by
+    ``_pair_values``.  At k > m every sigma2_min is
     exactly 0, so the neg_sigma_min_sq max is -0.0 with no eigvalsh.
     Otherwise (k >= 3) this is an exact branch and bound over the same slices
     in enumeration order: each slice is bounded by ``_subset_reach``, the
@@ -283,7 +314,8 @@ def _max_values(grams, kernel: KernelId, k, rows):
         return np.full(len(grams), -0.0)
     slices = _slices(grams.shape[-1], k, len(grams))
     if k < 3:
-        return functools.reduce(np.maximum, (_batch_values(grams, kernel, part, rows).max(axis=1) for part in slices))
+        values = _pair_values if k == 2 else _batch_values
+        return functools.reduce(np.maximum, (values(grams, kernel, part, rows).max(axis=1) for part in slices))
     top = None
     for part in slices:
         reach = _subset_reach(grams, kernel, part, rows)
@@ -337,10 +369,37 @@ def _estimates(grid, counts, trials):
     return out
 
 
-def _accumulate_counts(trials, threads, chunk_counts):
-    """Sum integer count vectors over fixed-size trial chunks (order-independent)."""
-    spans = [(s, min(s + _TRIAL_CHUNK, trials)) for s in range(0, trials, _TRIAL_CHUNK)]
-    workers = min(threads, len(spans), os.cpu_count() or 1)
+def _trial_bytes(spec: EnsembleSpec, cols, packed):
+    """Bytes one trial holds in a chunk: its packed sign words, or its sampled stack and its Gram.
+
+    The stack spans all n columns, since all are sampled before those in use
+    are taken; the Gram spans only the ``cols`` columns in use.
+    """
+    if packed:
+        return 8 * spec.n * -(-spec.m // 64)
+    return 8 * (spec.m * spec.n + cols * cols)
+
+
+def _chunk_spans(trials, threads, trial_bytes):
+    """(workers, spans): the trial chunks [start, stop) of a run and the threads that share them.
+
+    ``_CHUNK_BYTES`` is split across min(threads, CPUs) workers, and a chunk
+    holds as many trials of ``trial_bytes`` as one worker's share takes, at
+    least one.  Workers are then capped at the chunk count.
+    """
+    workers = max(1, min(threads, os.cpu_count() or 1))
+    size = max(1, _CHUNK_BYTES // (workers * trial_bytes))
+    spans = [(s, min(s + size, trials)) for s in range(0, trials, size)]
+    return min(workers, len(spans)), spans
+
+
+def _accumulate_counts(trials, threads, trial_bytes, chunk_counts):
+    """Sum integer count vectors over the trial chunks of ``_chunk_spans`` (order-independent).
+
+    Every trial's counts are the same whichever chunk holds it, so the sum
+    does not depend on the chunk size, the budget or the thread count.
+    """
+    workers, spans = _chunk_spans(trials, threads, trial_bytes)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda span: chunk_counts(*span), spans))
@@ -384,8 +443,10 @@ def _tail_counts(
     if cap is None:
         cols = np.unique(fixed)
         local = np.searchsorted(cols, fixed)
+        trial_bytes = _trial_bytes(spec, len(cols), packed)
     else:
         cols, local = slice(None), fixed
+        trial_bytes = _trial_bytes(spec, spec.n, packed)
 
     def chunk_counts(start, stop):
         if packed:
@@ -401,7 +462,7 @@ def _tail_counts(
         stats += [values[:, list(event)].min(axis=1) for event in events]
         return np.stack([len(v) - np.searchsorted(np.sort(v), grid, side="right") for v in stats])
 
-    return grid, _accumulate_counts(trials, threads, chunk_counts)
+    return grid, _accumulate_counts(trials, threads, trial_bytes, chunk_counts)
 
 
 def mc_marginal_tail(

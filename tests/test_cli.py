@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uniontight import checks, ustat
+from uniontight import checks, cli, ustat
 from uniontight.ensembles import EnsembleSpec, sample_batch
 from uniontight.cli import (
     _COMMANDS,
@@ -16,6 +16,7 @@ from uniontight.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
+    EXIT_MEMORY,
     EXIT_OK,
     SEED_ENV_VAR,
     _parse_config_file,
@@ -266,7 +267,12 @@ _PINNED_COHERENCE_CSVS = [
 
 
 @pytest.mark.parametrize("args, digest", _PINNED_COHERENCE_CSVS)
-def test_fig_coherence_pinned_bytes(tmp_path, args, digest):
+def test_fig_coherence_pinned_bytes(tmp_path, monkeypatch, args, digest):
+    # two CPUs and a budget of two workers' chunks of 512 trials of 65 x 40
+    # packed signs (80 words of 8 B), so the 1,100-trial case is three chunks
+    # on two threads
+    monkeypatch.setattr(ustat, "_CHUNK_BYTES", 2 * 512 * 80 * 8)
+    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
     out = tmp_path / "pinned.csv"
     assert _run(["fig-coherence", *args, "--seed", "7", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -333,6 +339,50 @@ def test_exit_code_infeasible_enumeration(capsys):
     # the coherence max builds no pair list, but C(1415, 2) > 10^6 is refused all the same
     assert _run(["fig-coherence", "--m", "50", "--n", "1415", "--trials", "512"]) == EXIT_INFEASIBLE
     assert "C(1415,2)" in capsys.readouterr().err
+
+
+def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch):
+    # stands in for the 74.5 GiB Gram of --m 2 --n 100000 --k 1, allocating nothing
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (1, 100000, 100000)")
+
+    monkeypatch.setattr(cli, "extreme_experiment", exhausted)
+    args = ["fig-extreme", "--m", "2", "--n", "100000", "--k", "1", "--trials", "1"]
+    assert _run([*args, "--out", str(tmp_path / "x.csv")]) == EXIT_MEMORY
+    assert "error: out of memory: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+
+
+# the benchmark's workloads (bench/run.py) and the trial chunks each must get
+_BENCH_CHUNKS = [
+    pytest.param(["fig-extreme", "--ensemble", "gaussian", "--m", "10", "--n", "20", "--k", "4",
+                  "--trials", "128", "--threads", "1"], 128, id="extreme_ric"),
+    pytest.param(["fig-coherence", "--ensemble", "bernoulli", "--m", "50", "--n", "100",
+                  "--trials", "512", "--threads", "1"], 512, id="coherence"),
+    pytest.param(["fig-extreme", "--ensemble", "gaussian", "--m", "5", "--n", "10", "--k", "2",
+                  "--trials", "50000", "--threads", "2"], 1024, id="extreme_sampling"),
+]
+
+
+@pytest.mark.parametrize("args, chunk", _BENCH_CHUNKS)
+def test_chunk_plan_of_the_benchmark_workloads(tmp_path, monkeypatch, args, chunk):
+    # extreme_ric and coherence are one chunk each, as they were at 512-trial
+    # chunks; extreme_sampling's two workers get at least `chunk` trials each
+    spans = []
+
+    def recording(spec, start, stop, **kwargs):
+        spans.append((start, stop))
+        return sample_batch(spec, start, stop, **kwargs)
+
+    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ustat, "sample_batch", recording)
+    assert _run([*args, "--seed", "7", "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+    spans.sort()
+    trials = int(args[args.index("--trials") + 1])
+    assert [start for start, _ in spans] + [trials] == [0] + [stop for _, stop in spans]
+    if trials == chunk:
+        assert spans == [(0, chunk)]
+    else:
+        assert min(stop - start for start, stop in spans[:-1]) >= chunk
 
 
 def test_check_exit_codes(tmp_path, monkeypatch):

@@ -14,9 +14,11 @@ from uniontight.kernels import (
     SIGMA_MAX_SQ,
     coherence_kernel,
     gram_coherence,
+    gram_extremes,
     gram_mutual_coherence,
     gram_stack,
     kernel_value,
+    pair_extremes,
     ric_kernel,
 )
 from uniontight.ustat import (
@@ -211,9 +213,25 @@ def test_binomial_mean_for_k_equal_one():
     assert abs(counts.mean() - spec.n * math.exp(-a)) <= 3 * se
 
 
-def test_threads_do_not_change_results():
+def _chunk_trials(monkeypatch, spec, kernel, size, threads):
+    """Set two CPUs and a budget that gives runs at ``threads`` chunks of ``size`` trials of ``spec``.
+
+    The budget is split across min(threads, CPUs) workers, so at two threads
+    or more two workers share the chunks.
+    """
+    packed = kernel.needs_pair and spec.family == "bernoulli"
+    trial_bytes = ustat._trial_bytes(spec, spec.n, packed)
+    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ustat, "_CHUNK_BYTES", min(threads, 2) * size * trial_bytes)
+    return trial_bytes
+
+
+def test_threads_do_not_change_results(monkeypatch):
+    # 1,200 trials are three chunks of at most 512, on two workers
     spec = EnsembleSpec("gaussian", 4, 8, base_seed=14)
     grid = np.linspace(0.5, 4.0, 9)
+    trial_bytes = _chunk_trials(monkeypatch, spec, SIGMA_MAX_SQ, 512, threads=4)
+    assert ustat._chunk_spans(1_200, 4, trial_bytes) == (2, [(0, 512), (512, 1_024), (1_024, 1_200)])
     serial = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=1_200, threads=1)
     threaded = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=1_200, threads=4)
     assert [e.point for e in serial] == [e.point for e in threaded]
@@ -387,6 +405,8 @@ def test_thread_count_clamped_to_chunks_and_cpus(monkeypatch):
     ):
         seen.clear()
         monkeypatch.setattr(ustat.os, "cpu_count", lambda: cpus)
+        # split across min(threads, CPUs) workers, the budget holds 512 trials of 768 B each
+        monkeypatch.setattr(ustat, "_CHUNK_BYTES", min(threads, cpus or 1) * 512 * 768)
         est = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=trials, threads=threads)
         assert seen == want
         if trials == 1_200:
@@ -403,8 +423,10 @@ def _points(run):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_subset_tiling_does_not_change_estimates(monkeypatch, threads):
-    # 600 trials are two chunks; k = 3 of n = 7 is 35 subsets per trial
+    # 600 trials are two chunks, of 512 and 88; k = 3 of n = 7 is 35 subsets per trial
     spec = EnsembleSpec("gaussian", 4, 7, base_seed=16)
+    trial_bytes = _chunk_trials(monkeypatch, spec, RIC, 512, threads)
+    assert ustat._chunk_spans(600, threads, trial_bytes) == (threads, [(0, 512), (512, 600)])
     grid = np.linspace(0.2, 1.4, 13)
     untiled = (
         _points(extreme_experiment(spec, RIC, 3, grid, trials=600, threads=threads)),
@@ -475,11 +497,12 @@ def test_pruned_max_equals_exhaustive_max_bitwise(monkeypatch, kernel, block_byt
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
-def test_pruned_extreme_counts_match_exhaustive_at_ties(kernel, threads):
+def test_pruned_extreme_counts_match_exhaustive_at_ties(monkeypatch, kernel, threads):
     # thresholds at the exhaustive maxima themselves: an ulp off flips a count
     # (600 trials are two chunks; 3 x 7 with k = 4 is rank deficient)
     for ensemble, m, k in (("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)):
         spec = EnsembleSpec(ensemble, m, 7, base_seed=41)
+        _chunk_trials(monkeypatch, spec, kernel, 512, threads)
         tops = np.array([subset_values(phi, kernel, k).max() for phi in sample_batch(spec, 0, 600)])
         values = np.unique(tops)
         grid = values[:: max(1, len(values) // 40)]
@@ -489,7 +512,7 @@ def test_pruned_extreme_counts_match_exhaustive_at_ties(kernel, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kernel", [COHERENCE, *EIGEN_KERNELS], ids=lambda kern: kern.variant)
-def test_event_counts_match_a_recount_at_ties(kernel, threads):
+def test_event_counts_match_a_recount_at_ties(monkeypatch, kernel, threads):
     # thresholds at the fixed subsets' own values and at -0.0, 0.0 and +-inf
     # (600 trials are two chunks; 3 x 7 with k = 4 is rank deficient, so its
     # neg_sigma_min_sq values are -0.0)
@@ -499,6 +522,7 @@ def test_event_counts_match_a_recount_at_ties(kernel, threads):
         cases = [("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)]
     for ensemble, m, k in cases:
         spec = EnsembleSpec(ensemble, m, 7, base_seed=42)
+        _chunk_trials(monkeypatch, spec, kernel, 512, threads)
         overlaps = list(range(1, k))
         fixed = [tuple(range(k))] + [canonical_pair(k, i, 7).second for i in overlaps]
         at = [list(subsets(7, k)).index(sub) for sub in fixed]
@@ -670,7 +694,7 @@ def test_pruned_max_gathers_candidates_under_the_block_budget(monkeypatch, kerne
 
 def test_slices_cover_subsets_in_order_at_the_slice_size():
     subs = np.array(list(subsets(60, 2)))
-    step = ustat._SLICE_BYTES // (512 * 8)  # 64 pairs of a 512-trial chunk
+    step = ustat._SLICE_BYTES // (512 * 8)  # 64 pairs over a stack of 512 Grams
     parts = list(ustat._slices(60, 2, 512))
     assert [len(part) for part in parts] == [step] * (1770 // step) + [1770 % step]
     assert _bits(np.concatenate(parts)) == _bits(subs)
@@ -753,12 +777,13 @@ def _exact_coherence_tops(spec, trials):
 
 
 @pytest.mark.parametrize("m", [64, 65])
-def test_bernoulli_coherence_counts_at_every_lattice_level(m):
+def test_bernoulli_coherence_counts_at_every_lattice_level(monkeypatch, m):
     # three chunks, the last one short; a = j/m is a tie and resolves as 0
     spec = EnsembleSpec("bernoulli", m, 40, base_seed=55)
     tops = _exact_coherence_tops(spec, 1_100)
     want = [np.count_nonzero(tops > j) / 1_100 for j in range(m + 1)]
     for threads in (1, 2):
+        _chunk_trials(monkeypatch, spec, COHERENCE, 512, threads)
         est = mc_extreme_tail(spec, COHERENCE, 2, np.arange(m + 1) / m, trials=1_100, threads=threads)
         assert [e.point for e in est] == want
 
@@ -790,8 +815,10 @@ def test_bernoulli_coherence_reads_packed_signs_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(ustat, "sample_batch", recording)
     monkeypatch.setattr(ustat, "gram_stack", _refuse)
-    extreme_experiment(EnsembleSpec("bernoulli", 20, 30, base_seed=57), COHERENCE, 2, [0.3, 0.5], trials=1_100)
-    assert calls == [{"packed": True}] * 3
+    spec = EnsembleSpec("bernoulli", 20, 30, base_seed=57)
+    _chunk_trials(monkeypatch, spec, COHERENCE, 512, threads=1)
+    extreme_experiment(spec, COHERENCE, 2, [0.3, 0.5], trials=1_100)
+    assert calls == [{"packed": True}] * math.ceil(1_100 / 512)
 
 
 def test_bernoulli_coherence_chunk_memory_is_word_tile_sized():
@@ -806,3 +833,87 @@ def test_bernoulli_coherence_chunk_memory_is_word_tile_sized():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_counts_do_not_depend_on_the_chunk_budget(monkeypatch, threads):
+    # budgets down to one trial a chunk and to odd chunk sizes, on both float
+    # Gram paths (k = 1, 2 and the pruned k = 3) and on packed Bernoulli signs
+    cases = [
+        (EnsembleSpec("gaussian", 4, 9, base_seed=60), kernel, k, np.linspace(0.1, 3.0, 12))
+        for kernel in (RIC, SIGMA_MAX_SQ)
+        for k in (1, 2, 3)
+    ]
+    cases.append((EnsembleSpec("bernoulli", 20, 12, base_seed=61), COHERENCE, 2, np.arange(21) / 20))
+    defaults = [_points(extreme_experiment(*case, trials=101, threads=threads)) for case in cases]
+    for (spec, kernel, k, grid), default in zip(cases, defaults):
+        for size in (1, 7, 33):
+            trial_bytes = _chunk_trials(monkeypatch, spec, kernel, size, threads)
+            spans = [(start, min(start + size, 101)) for start in range(0, 101, size)]
+            assert ustat._chunk_spans(101, threads, trial_bytes) == (threads, spans)
+            assert _points(extreme_experiment(spec, kernel, k, grid, trials=101, threads=threads)) == default
+
+
+def _closed_form(grams):
+    """The 2 x 2 extremes as gram_extremes computed them before the closed form moved to pair_extremes."""
+    gii, gjj, gij = grams[..., 0, 0], grams[..., 1, 1], grams[..., 0, 1]
+    half_tr = 0.5 * (gii + gjj)
+    half_disc = 0.5 * np.sqrt((gii - gjj) ** 2 + 4.0 * gij**2)
+    return np.maximum(half_tr - half_disc, 0.0), np.maximum(half_tr + half_disc, 0.0)
+
+
+def test_pair_closed_form_keeps_its_bits():
+    stacks = [gram_stack(sample_batch(EnsembleSpec("gaussian", m, 9, base_seed=62), 0, 50)) for m in (1, 3, 10)]
+    stacks += [gram_stack(sample_batch(EnsembleSpec("bernoulli", m, 9, base_seed=63), 0, 50)) for m in (7, 65)]
+    # every lattice pair Gram [[1, j/m], [j/m, 1]] of m = 2..80
+    lattice = [(m, np.arange(-m, m + 1, 2) / m) for m in range(2, 81)]
+    pairs = np.array(list(subsets(9, 2)))
+    for grams in stacks:
+        blocks = grams[:, pairs[:, :, None], pairs[:, None, :]]
+        want = _closed_form(blocks)
+        got = pair_extremes(*(blocks[..., i, j].copy() for i, j in ((0, 0), (1, 1), (0, 1))))
+        assert _bits(got) == _bits(want)
+        assert _bits(gram_extremes(blocks)) == _bits(want)
+    for m, inner in lattice:
+        blocks = np.ones((len(inner), 2, 2))
+        blocks[:, 0, 1] = blocks[:, 1, 0] = inner
+        ones = np.ones(len(inner))
+        assert _bits(pair_extremes(ones, ones.copy(), inner.copy())) == _bits(_closed_form(blocks))
+    # the pair Gram of j = 5 at m = 7 has sigma2_max one ulp above 12/7, as before
+    smax = pair_extremes(np.ones(1), np.ones(1), np.array([5 / 7]))[1]
+    assert smax[0] == 1.7142857142857144 == np.nextafter(12 / 7, 2.0)
+    # the k = 2 max reads the same floats, also on rank-one (m = 1) Grams
+    for grams, m in zip(stacks, (1, 3, 10, 7, 65)):
+        for kernel in EIGEN_KERNELS:
+            exhaustive = ustat._batch_values(grams, kernel, pairs, m).max(axis=1)
+            assert _bits(ustat._max_values(grams, kernel, 2, m)) == _bits(exhaustive)
+    # the closed form leaves sigma2_min = 1.1e-16 here, where rank one makes it 0
+    phi = np.array([[0.7, 0.8]])
+    assert max_over_subsets(phi, RIC, 2) == 1.0 == subset_values(phi, RIC, 2).max()
+
+
+def test_large_gram_chunk_memory_is_a_few_trials():
+    # a 50 x 300 trial and its Gram take 840,000 B, so the budget holds three;
+    # one 64-trial chunk of them peaked at 52 MiB
+    spec = EnsembleSpec("gaussian", 50, 300, base_seed=7)
+    tracemalloc.start()
+    try:
+        mc_extreme_tail(spec, COHERENCE, 2, [0.5], trials=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 840_000
+
+
+def test_wide_marginal_chunk_memory_is_a_few_trials():
+    # all 1,000 columns of a 50 x 1000 trial are sampled before the pair in use
+    # is taken, 400,000 B of floats, so the budget holds six trials a chunk;
+    # one 64-trial chunk of them peaked at 73 MiB
+    spec = EnsembleSpec("gaussian", 50, 1000, base_seed=7)
+    tracemalloc.start()
+    try:
+        mc_marginal_tail(spec, SIGMA_MAX_SQ, 2, [0.5, 1.0], trials=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
