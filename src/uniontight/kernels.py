@@ -6,12 +6,12 @@ submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A
 "Packed signs" below):
 ``gram_stack`` builds one n x n Gram per matrix, the eigen kernels take the
 extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``; at k = 2
-the closed form ``pair_extremes``, which the engine's max over all pairs also
-calls on G_ii, G_jj and G_ij read straight from whole Grams), and the
-coherence kernel reads |G_ij| / sqrt(G_ii G_jj) (``gram_coherence``).  The
-max of the coherence over all pairs (``gram_mutual_coherence``) is read from
-tiles of whole Grams, with no pair gathered.  The single-submatrix functions
-are thin wrappers over the same primitives.
+the closed form ``pair_extremes``), and ``pair_values`` reads every column
+pair one way, G_ii, G_jj and G_ij straight from whole Grams, for the coherence
+|G_ij| / sqrt(G_ii G_jj) and for the eigen kernels.  The max of the coherence
+over all pairs (``gram_mutual_coherence``) is read from tiles of whole Grams,
+with no pair gathered.  The single-submatrix functions are thin wrappers over
+the same primitives.
 
 Four variants are supported:
 
@@ -166,31 +166,40 @@ def pair_extremes(gii, gjj, gij):
     return np.maximum(smin, 0.0, out=smin), np.maximum(smax, 0.0, out=smax)
 
 
-def gram_coherence(grams: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Coherence |G_ij| / sqrt(G_ii G_jj), clipped at 1, of listed column pairs.
+def pair_values(grams: np.ndarray, kernel: KernelId, pairs: np.ndarray, rows=None) -> np.ndarray:
+    """Kernel values of listed column pairs, read from G_ii, G_jj and G_ij of whole Grams.
 
     grams: (B, n, n) from gram_stack; pairs: (P, 2) int array -> (B, P).
-    Memory is O(B (n^2 + P)); no column is gathered.
+    Memory is O(B (n^2 + P)); no 2 x 2 block is gathered.  The coherence is
+    |G_ij| / sqrt(G_ii G_jj), clipped at 1.  The eigen kernels take
+    ``pair_extremes`` in place; at a row count ``rows`` (m) below 2,
+    sigma2_min is exactly +0.0, as ``gram_extremes(rows=1)`` has it.
     """
-    if pairs.shape[1] != 2:
-        raise ValueError("coherence kernel requires k = 2")
     diag = np.diagonal(grams, axis1=-2, axis2=-1)
-    if np.any(diag == 0.0):
-        raise ValueError("degenerate input: coherence kernel needs nonzero columns")
+    if kernel.needs_pair:
+        if pairs.shape[1] != 2:
+            raise ValueError("coherence kernel requires k = 2")
+        if np.any(diag == 0.0):
+            raise ValueError("degenerate input: coherence kernel needs nonzero columns")
+        i, j = pairs[:, 0], pairs[:, 1]
+        values = np.abs(grams[:, i, j])
+        norms = diag[:, i] * diag[:, j]
+        values /= np.sqrt(norms, out=norms)
+        return np.minimum(values, 1.0, out=values)
     i, j = pairs[:, 0], pairs[:, 1]
-    values = np.abs(grams[:, i, j])
-    norms = diag[:, i] * diag[:, j]
-    values /= np.sqrt(norms, out=norms)
-    return np.minimum(values, 1.0, out=values)
+    smin, smax = pair_extremes(diag[:, i], diag[:, j], grams[:, i, j])
+    if rows is not None and rows < 2:
+        smin[:] = 0.0
+    return spectral_value(kernel, smin, smax)
 
 
 def gram_mutual_coherence(grams: np.ndarray) -> np.ndarray:
     """Coherence max over all column pairs of each Gram, clipped at 1; shape (B,).
 
-    Bit for bit gram_coherence(grams, pairs).max(axis=1) over all pairs i < j
-    for the exactly symmetric Grams of gram_stack.  No pair is gathered: a
-    tile of _GRAM_TILE_BYTES of Grams at a time is normalized whole, with the
-    same floats as gram_coherence, its diagonal zeroed and its max taken.
+    Bit for bit pair_values(grams, COHERENCE, pairs).max(axis=1) over all
+    pairs i < j of the exactly symmetric Grams of gram_stack.  No pair is
+    gathered: a tile of _GRAM_TILE_BYTES of Grams at a time is normalized
+    whole, with the same floats, its diagonal zeroed and its max taken.
     """
     count, n = grams.shape[0], grams.shape[-1]
     diag = np.diagonal(grams, axis1=-2, axis2=-1)
@@ -223,7 +232,7 @@ def packed_coherence(words: np.ndarray, m: int, pairs: np.ndarray) -> np.ndarray
     words: (B, n, W) from ``sample_batch(..., packed=True)``; pairs: (P, 2)
     int array -> (B, P).  d is the Hamming distance between the two columns'
     sign bits, so m - 2 d is their exact integer inner product and the value
-    is bit for bit gram_coherence of the lattice Gram.
+    is bit for bit the coherence ``pair_values`` reads from the lattice Gram.
     """
     if pairs.shape[1] != 2:
         raise ValueError("coherence kernel requires k = 2")
@@ -281,7 +290,7 @@ def coherence_kernel(a_sub) -> float:
     a = _checked(a_sub)
     if a.shape[1] != 2:
         raise ValueError("coherence kernel requires exactly 2 columns")
-    return float(gram_coherence(gram_stack(a[None]), _FIRST_PAIR)[0, 0])
+    return float(pair_values(gram_stack(a[None]), COHERENCE, _FIRST_PAIR)[0, 0])
 
 
 def kernel_value(kernel: KernelId, a_sub) -> float:

@@ -8,12 +8,13 @@ cap.
 
 Kernels are evaluated Gram-first: each matrix gets one Gram
 (``kernels.gram_stack``) over the columns the subsets use, all n of them when
-every subset is enumerated, and every subset's value is read from it, as a
-k x k block for the eigen kernels and as one entry plus two diagonal entries
-for the coherence of a fixed pair.  The coherence max over all pairs is read
-from whole Grams (``kernels.gram_mutual_coherence``), and no pair list is
-built for it.  For +-1/sqrt(m) matrices the Gram is the exact lattice one, so
-values sit exactly on j/m and ties at a = j/m resolve as 0.  The engine reads
+every subset is enumerated, and every subset's value is read from it: a
+pair as G_ii, G_jj and G_ij (``kernels.pair_values``), for every kernel, and
+a k x k block for the eigen kernels at k != 2 and for the engine's fixed
+eigen subsets.  The coherence max over all pairs is read from whole Grams
+(``kernels.gram_mutual_coherence``), and no pair list is built for it.  For
++-1/sqrt(m) matrices the Gram is the exact lattice one, so values sit
+exactly on j/m and ties at a = j/m resolve as 0.  The engine reads
 Bernoulli coherence with no Gram at all: one packed ``sample_batch`` call per
 chunk gives each column's sign bits, and both the max over all pairs and the
 fixed pairs come from XOR and popcount of those words
@@ -81,13 +82,12 @@ from .ensembles import EnsembleSpec, sample_batch
 from .kernels import (
     KernelId,
     _checked,
-    gram_coherence,
     gram_extremes,
     gram_mutual_coherence,
     gram_stack,
     packed_coherence,
     packed_mutual_coherence,
-    pair_extremes,
+    pair_values,
     spectral_value,
 )
 
@@ -177,32 +177,20 @@ def _check_k(n, k, kernel: KernelId, cap):
         raise ValueError("coherence kernel requires k = 2")
 
 
-def _batch_values(grams, kernel: KernelId, subs, rows):
-    """Kernel values over an array of subsets, read from Gram matrices.
+def _batch_values(grams, kernel: KernelId, subs, rows, picks=None):
+    """Kernel values of subsets, read from Gram matrices.
 
     grams: (B, c, c) from gram_stack; subs: (N, k) int array of indices into
-    its c columns; rows: the row count m of the matrices -> (B, N) array.
+    its c columns; rows: the row count m of the matrices -> (B, N) array, or
+    with ``picks`` (N,) subs[c] in matrix picks[c] alone -> (N,).  Coherence
+    pairs are read by ``pair_values``; every k x k block is gathered here.
+    At k = 2 only the engine's fixed eigen subsets come here, so every run
+    still calls ``gram_extremes``, which the benchmark's span tracer wraps.
     """
     if kernel.needs_pair:
-        return gram_coherence(grams, subs)
-    smin, smax = gram_extremes(grams[:, subs[:, :, None], subs[:, None, :]], rows=rows)
-    return spectral_value(kernel, smin, smax)
-
-
-def _pair_values(grams, kernel: KernelId, pairs, rows):
-    """Eigen-kernel values of column pairs (N, 2), read entry by entry from (B, n, n) Grams -> (B, N).
-
-    G_ii, G_jj and G_ij are read straight from the Grams, with no (B, N, 2, 2)
-    gather, and ``kernels.pair_extremes`` works on them in place: the same
-    floats as ``_batch_values``, in about half its memory.  Only the k = 2 max
-    takes this path; the fixed-subset reads keep ``_batch_values``, so every
-    run still calls ``gram_extremes``, which the benchmark's span tracer wraps.
-    """
-    i, j = pairs[:, 0], pairs[:, 1]
-    diag = np.diagonal(grams, axis1=-2, axis2=-1)
-    smin, smax = pair_extremes(diag[:, i], diag[:, j], grams[:, i, j])
-    if rows < 2:  # rank one: sigma2_min is exactly 0, as gram_extremes(rows=1) has it
-        smin[:] = 0.0
+        return pair_values(grams, kernel, subs)
+    lead = slice(None) if picks is None else picks[:, None, None]
+    smin, smax = gram_extremes(grams[lead, subs[..., :, None], subs[..., None, :]], rows=rows)
     return spectral_value(kernel, smin, smax)
 
 
@@ -285,20 +273,14 @@ def _subset_reach(grams, kernel: KernelId, subs, rows):
     return bound + _BOUND_MARGIN * (np.abs(bound) + ub_smax)
 
 
-def _picked_values(grams, kernel: KernelId, picks, subs, rows):
-    """Kernel values of subset subs[c] in matrix picks[c], one per pick -> (C,)."""
-    blocks = grams[picks[:, None, None], subs[:, :, None], subs[:, None, :]]
-    return spectral_value(kernel, *gram_extremes(blocks, rows=rows))
-
-
 def _max_values(grams, kernel: KernelId, k, rows):
     """Per-matrix max kernel value over all size-k subsets -> (B,), equal to exhaustive evaluation.
 
     grams: (B, n, n) over all n columns.  The coherence max over all pairs is
     read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2
     every subset is evaluated, slice by slice, the pairs of k = 2 by
-    ``_pair_values``.  At k > m every sigma2_min is
-    exactly 0, so the neg_sigma_min_sq max is -0.0 with no eigvalsh.
+    ``kernels.pair_values``.  At k > m every sigma2_min is exactly 0, so the
+    neg_sigma_min_sq max is -0.0 with no eigvalsh.
     Otherwise (k >= 3) this is an exact branch and bound over the same slices
     in enumeration order: each slice is bounded by ``_subset_reach``, the
     first slice seeds a running max with each matrix's best-bound subset, and
@@ -314,15 +296,15 @@ def _max_values(grams, kernel: KernelId, k, rows):
         return np.full(len(grams), -0.0)
     slices = _slices(grams.shape[-1], k, len(grams))
     if k < 3:
-        values = _pair_values if k == 2 else _batch_values
+        values = pair_values if k == 2 else _batch_values
         return functools.reduce(np.maximum, (values(grams, kernel, part, rows).max(axis=1) for part in slices))
     top = None
     for part in slices:
         reach = _subset_reach(grams, kernel, part, rows)
         if top is None:
-            top = _picked_values(grams, kernel, np.arange(len(grams)), part[reach.argmax(axis=1)], rows)
+            top = _batch_values(grams, kernel, part[reach.argmax(axis=1)], rows, np.arange(len(grams)))
         picks, pos = np.nonzero(reach >= top[:, None])
-        np.maximum.at(top, picks, _picked_values(grams, kernel, picks, part[pos], rows))
+        np.maximum.at(top, picks, _batch_values(grams, kernel, part[pos], rows, picks))
     return top
 
 
@@ -332,7 +314,8 @@ def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
     m, n = phi.shape
     _checked_count(n, k, cap)
     grams = gram_stack(phi[None])
-    return np.concatenate([_batch_values(grams, kernel, part, m)[0] for part in _slices(n, k, 1)])
+    values = pair_values if k == 2 else _batch_values
+    return np.concatenate([values(grams, kernel, part, m)[0] for part in _slices(n, k, 1)])
 
 
 def u_statistic(phi, kernel: KernelId, k: int, a: float, cap: int = DEFAULT_SUBSET_CAP) -> float:
@@ -429,6 +412,8 @@ def _tail_counts(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     _check_k(spec.n, k, kernel, cap)
     for sub in fixed:
         # integers only: a float index would be truncated into a duplicate
@@ -542,6 +527,8 @@ def extreme_experiment(
     """
     if overlaps is None:
         overlaps = [i for i in range(1, k) if 2 * k - i <= spec.n]
+    if len(set(overlaps)) != len(overlaps):
+        raise ValueError(f"overlaps must not repeat, got {list(overlaps)}")
     fixed = [tuple(range(k))] + [canonical_pair(k, i, spec.n).second for i in overlaps]
     events = [(0,)] + [(0, 1 + pos) for pos in range(len(overlaps))]
     grid, counts = _tail_counts(spec, kernel, k, a_grid, trials, threads, fixed, events, cap)

@@ -10,6 +10,7 @@ import pytest
 
 from uniontight import checks, cli, ustat
 from uniontight.ensembles import EnsembleSpec, sample_batch
+from uniontight.kernels import COHERENCE, SIGMA_MAX_SQ
 from uniontight.cli import (
     _COMMANDS,
     _TYPES,
@@ -95,7 +96,10 @@ def test_fig_extreme_min_kernel_counts_small_singular_values(tmp_path):
     assert emp[-1] == 1.0
 
 
-def test_fig_extreme_byte_determinism(tmp_path):
+def test_fig_extreme_byte_determinism(tmp_path, chunk_plan):
+    # 64-trial chunks at --threads 3 make 200 trials four chunks on two
+    # workers; --threads 1 gets two chunks, of 128 and 72
+    chunk_plan(EnsembleSpec("gaussian", 5, 7), SIGMA_MAX_SQ, 64, threads=3)
     args = [
         "fig-extreme", "--n", "7", "--trials", "200", "--a-min", "1.0",
         "--a-max", "4.0", "--a-steps", "6", "--seed", "11",
@@ -267,12 +271,11 @@ _PINNED_COHERENCE_CSVS = [
 
 
 @pytest.mark.parametrize("args, digest", _PINNED_COHERENCE_CSVS)
-def test_fig_coherence_pinned_bytes(tmp_path, monkeypatch, args, digest):
+def test_fig_coherence_pinned_bytes(tmp_path, chunk_plan, args, digest):
     # two CPUs and a budget of two workers' chunks of 512 trials of 65 x 40
     # packed signs (80 words of 8 B), so the 1,100-trial case is three chunks
     # on two threads
-    monkeypatch.setattr(ustat, "_CHUNK_BYTES", 2 * 512 * 80 * 8)
-    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
+    chunk_plan(EnsembleSpec("bernoulli", 65, 40), COHERENCE, 512, threads=2)
     out = tmp_path / "pinned.csv"
     assert _run(["fig-coherence", *args, "--seed", "7", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -363,6 +366,7 @@ _BENCH_CHUNKS = [
 ]
 
 
+@pytest.mark.usefixtures("chunk_plan")  # two CPUs, the default budget
 @pytest.mark.parametrize("args, chunk", _BENCH_CHUNKS)
 def test_chunk_plan_of_the_benchmark_workloads(tmp_path, monkeypatch, args, chunk):
     # extreme_ric and coherence are one chunk each, as they were at 512-trial
@@ -373,7 +377,6 @@ def test_chunk_plan_of_the_benchmark_workloads(tmp_path, monkeypatch, args, chun
         spans.append((start, stop))
         return sample_batch(spec, start, stop, **kwargs)
 
-    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(ustat, "sample_batch", recording)
     assert _run([*args, "--seed", "7", "--out", str(tmp_path / "x.csv")]) == EXIT_OK
     spans.sort()

@@ -13,13 +13,13 @@ from uniontight.kernels import (
     SIGMA_MAX_SQ,
     KernelId,
     coherence_kernel,
-    gram_coherence,
     gram_mutual_coherence,
     gram_stack,
     indicator,
     kernel_value,
     packed_coherence,
     packed_mutual_coherence,
+    pair_values,
     ric_kernel,
     squared_singular_extremes,
 )
@@ -98,10 +98,18 @@ def test_coherence_kernel_errors():
         gram_mutual_coherence(gram_stack(np.column_stack([np.ones(3), np.zeros(3), np.ones(3)])[None]))
 
 
+def test_pair_values_keeps_the_coherence_messages():
+    grams = gram_stack(np.column_stack([np.ones(3), np.zeros(3), np.ones(3)])[None])
+    with pytest.raises(ValueError, match="^coherence kernel requires k = 2$"):
+        pair_values(grams, COHERENCE, np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="^degenerate input: coherence kernel needs nonzero columns$"):
+        pair_values(grams, COHERENCE, np.array([[0, 2]]))
+
+
 def _pair_max(grams):
     """The coherence max over the gathered list of all pairs i < j."""
     pairs = np.array(list(combinations(range(grams.shape[-1]), 2)))
-    return gram_coherence(grams, pairs).max(axis=1)
+    return pair_values(grams, COHERENCE, pairs).max(axis=1)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +159,7 @@ def test_packed_mutual_coherence_equals_the_float_gram_max_bitwise(m, n):
     grams = gram_stack(sample_batch(spec, 0, 24))
     assert packed_mutual_coherence(words, m).tobytes() == gram_mutual_coherence(grams).tobytes()
     pairs = np.array(list(combinations(range(n), 2)))
-    assert packed_coherence(words, m, pairs).tobytes() == gram_coherence(grams, pairs).tobytes()
+    assert packed_coherence(words, m, pairs).tobytes() == pair_values(grams, COHERENCE, pairs).tobytes()
 
 
 def test_packed_mutual_coherence_reaches_both_ends_of_the_lattice():

@@ -13,13 +13,14 @@ from uniontight.kernels import (
     RIC,
     SIGMA_MAX_SQ,
     coherence_kernel,
-    gram_coherence,
     gram_extremes,
     gram_mutual_coherence,
     gram_stack,
     kernel_value,
     pair_extremes,
+    pair_values,
     ric_kernel,
+    spectral_value,
 )
 from uniontight.ustat import (
     EnumerationInfeasibleError,
@@ -213,24 +214,11 @@ def test_binomial_mean_for_k_equal_one():
     assert abs(counts.mean() - spec.n * math.exp(-a)) <= 3 * se
 
 
-def _chunk_trials(monkeypatch, spec, kernel, size, threads):
-    """Set two CPUs and a budget that gives runs at ``threads`` chunks of ``size`` trials of ``spec``.
-
-    The budget is split across min(threads, CPUs) workers, so at two threads
-    or more two workers share the chunks.
-    """
-    packed = kernel.needs_pair and spec.family == "bernoulli"
-    trial_bytes = ustat._trial_bytes(spec, spec.n, packed)
-    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(ustat, "_CHUNK_BYTES", min(threads, 2) * size * trial_bytes)
-    return trial_bytes
-
-
-def test_threads_do_not_change_results(monkeypatch):
+def test_threads_do_not_change_results(chunk_plan):
     # 1,200 trials are three chunks of at most 512, on two workers
     spec = EnsembleSpec("gaussian", 4, 8, base_seed=14)
     grid = np.linspace(0.5, 4.0, 9)
-    trial_bytes = _chunk_trials(monkeypatch, spec, SIGMA_MAX_SQ, 512, threads=4)
+    trial_bytes = chunk_plan(spec, SIGMA_MAX_SQ, 512, threads=4)
     assert ustat._chunk_spans(1_200, 4, trial_bytes) == (2, [(0, 512), (512, 1_024), (1_024, 1_200)])
     serial = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=1_200, threads=1)
     threaded = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=1_200, threads=4)
@@ -277,6 +265,31 @@ def test_mc_argument_validation(monkeypatch):
         mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, [[1.0, 2.0], [3.0, 4.0]], 600)
     with pytest.raises(ValueError, match="a_grid must be one-dimensional"):
         extreme_experiment(spec, SIGMA_MAX_SQ, 2, [[1.0], [2.0]], 600)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, True, "2", None])
+def test_engine_refuses_bad_threads_before_sampling(monkeypatch, threads):
+    monkeypatch.setattr(ustat, "sample_batch", _refuse)
+    spec = EnsembleSpec("gaussian", 4, 6, base_seed=1)
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, [1.0], trials=10, threads=threads)
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        extreme_experiment(spec, SIGMA_MAX_SQ, 2, [1.0], trials=10, threads=threads)
+
+
+def test_engine_takes_numpy_integer_threads():
+    spec = EnsembleSpec("gaussian", 4, 6, base_seed=1)
+    serial = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, [1.0, 2.0], trials=50)
+    assert mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, [1.0, 2.0], trials=50, threads=np.int64(2)) == serial
+
+
+def test_extreme_experiment_refuses_repeated_overlaps(monkeypatch):
+    monkeypatch.setattr(ustat, "sample_batch", _refuse)
+    spec = EnsembleSpec("gaussian", 4, 8, base_seed=1)
+    with pytest.raises(ValueError, match=r"overlaps must not repeat, got \[1, 1\]"):
+        extreme_experiment(spec, SIGMA_MAX_SQ, 3, [1.0], trials=10, overlaps=[1, 1])
+    with pytest.raises(ValueError, match="overlaps must not repeat"):
+        extreme_experiment(spec, SIGMA_MAX_SQ, 3, [1.0], trials=10, overlaps=(2, 1, 2))
 
 
 def test_subset_count_helper():
@@ -422,10 +435,10 @@ def _points(run):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_subset_tiling_does_not_change_estimates(monkeypatch, threads):
+def test_subset_tiling_does_not_change_estimates(monkeypatch, chunk_plan, threads):
     # 600 trials are two chunks, of 512 and 88; k = 3 of n = 7 is 35 subsets per trial
     spec = EnsembleSpec("gaussian", 4, 7, base_seed=16)
-    trial_bytes = _chunk_trials(monkeypatch, spec, RIC, 512, threads)
+    trial_bytes = chunk_plan(spec, RIC, 512, threads)
     assert ustat._chunk_spans(600, threads, trial_bytes) == (threads, [(0, 512), (512, 600)])
     grid = np.linspace(0.2, 1.4, 13)
     untiled = (
@@ -497,12 +510,12 @@ def test_pruned_max_equals_exhaustive_max_bitwise(monkeypatch, kernel, block_byt
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
-def test_pruned_extreme_counts_match_exhaustive_at_ties(monkeypatch, kernel, threads):
+def test_pruned_extreme_counts_match_exhaustive_at_ties(chunk_plan, kernel, threads):
     # thresholds at the exhaustive maxima themselves: an ulp off flips a count
     # (600 trials are two chunks; 3 x 7 with k = 4 is rank deficient)
     for ensemble, m, k in (("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)):
         spec = EnsembleSpec(ensemble, m, 7, base_seed=41)
-        _chunk_trials(monkeypatch, spec, kernel, 512, threads)
+        chunk_plan(spec, kernel, 512, threads)
         tops = np.array([subset_values(phi, kernel, k).max() for phi in sample_batch(spec, 0, 600)])
         values = np.unique(tops)
         grid = values[:: max(1, len(values) // 40)]
@@ -512,7 +525,7 @@ def test_pruned_extreme_counts_match_exhaustive_at_ties(monkeypatch, kernel, thr
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kernel", [COHERENCE, *EIGEN_KERNELS], ids=lambda kern: kern.variant)
-def test_event_counts_match_a_recount_at_ties(monkeypatch, kernel, threads):
+def test_event_counts_match_a_recount_at_ties(chunk_plan, kernel, threads):
     # thresholds at the fixed subsets' own values and at -0.0, 0.0 and +-inf
     # (600 trials are two chunks; 3 x 7 with k = 4 is rank deficient, so its
     # neg_sigma_min_sq values are -0.0)
@@ -522,7 +535,7 @@ def test_event_counts_match_a_recount_at_ties(monkeypatch, kernel, threads):
         cases = [("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)]
     for ensemble, m, k in cases:
         spec = EnsembleSpec(ensemble, m, 7, base_seed=42)
-        _chunk_trials(monkeypatch, spec, kernel, 512, threads)
+        chunk_plan(spec, kernel, 512, threads)
         overlaps = list(range(1, k))
         fixed = [tuple(range(k))] + [canonical_pair(k, i, 7).second for i in overlaps]
         at = [list(subsets(7, k)).index(sub) for sub in fixed]
@@ -777,13 +790,13 @@ def _exact_coherence_tops(spec, trials):
 
 
 @pytest.mark.parametrize("m", [64, 65])
-def test_bernoulli_coherence_counts_at_every_lattice_level(monkeypatch, m):
+def test_bernoulli_coherence_counts_at_every_lattice_level(chunk_plan, m):
     # three chunks, the last one short; a = j/m is a tie and resolves as 0
     spec = EnsembleSpec("bernoulli", m, 40, base_seed=55)
     tops = _exact_coherence_tops(spec, 1_100)
     want = [np.count_nonzero(tops > j) / 1_100 for j in range(m + 1)]
     for threads in (1, 2):
-        _chunk_trials(monkeypatch, spec, COHERENCE, 512, threads)
+        chunk_plan(spec, COHERENCE, 512, threads)
         est = mc_extreme_tail(spec, COHERENCE, 2, np.arange(m + 1) / m, trials=1_100, threads=threads)
         assert [e.point for e in est] == want
 
@@ -796,7 +809,7 @@ def test_bernoulli_coherence_estimators_match_the_float_gram():
     def tail(values):
         return [np.count_nonzero(np.all(values > a, axis=1)) / 600 for a in grid]
 
-    pairs = gram_coherence(grams, np.array([(0, 1), (1, 2), (9, 4)]))
+    pairs = pair_values(grams, COHERENCE, np.array([(0, 1), (1, 2), (9, 4)]))
     run = extreme_experiment(spec, COHERENCE, 2, grid, trials=600)
     assert [e.point for e in run.extreme] == tail(gram_mutual_coherence(grams)[:, None])
     assert [e.point for e in run.marginal] == tail(pairs[:, :1])
@@ -806,7 +819,7 @@ def test_bernoulli_coherence_estimators_match_the_float_gram():
     assert [e.point for e in marginal] == tail(pairs[:, 2:])
 
 
-def test_bernoulli_coherence_reads_packed_signs_once_per_chunk(monkeypatch):
+def test_bernoulli_coherence_reads_packed_signs_once_per_chunk(monkeypatch, chunk_plan):
     calls = []
 
     def recording(*args, **kwargs):
@@ -816,7 +829,7 @@ def test_bernoulli_coherence_reads_packed_signs_once_per_chunk(monkeypatch):
     monkeypatch.setattr(ustat, "sample_batch", recording)
     monkeypatch.setattr(ustat, "gram_stack", _refuse)
     spec = EnsembleSpec("bernoulli", 20, 30, base_seed=57)
-    _chunk_trials(monkeypatch, spec, COHERENCE, 512, threads=1)
+    chunk_plan(spec, COHERENCE, 512, threads=1)
     extreme_experiment(spec, COHERENCE, 2, [0.3, 0.5], trials=1_100)
     assert calls == [{"packed": True}] * math.ceil(1_100 / 512)
 
@@ -836,7 +849,7 @@ def test_bernoulli_coherence_chunk_memory_is_word_tile_sized():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_counts_do_not_depend_on_the_chunk_budget(monkeypatch, threads):
+def test_counts_do_not_depend_on_the_chunk_budget(chunk_plan, threads):
     # budgets down to one trial a chunk and to odd chunk sizes, on both float
     # Gram paths (k = 1, 2 and the pruned k = 3) and on packed Bernoulli signs
     cases = [
@@ -848,7 +861,7 @@ def test_counts_do_not_depend_on_the_chunk_budget(monkeypatch, threads):
     defaults = [_points(extreme_experiment(*case, trials=101, threads=threads)) for case in cases]
     for (spec, kernel, k, grid), default in zip(cases, defaults):
         for size in (1, 7, 33):
-            trial_bytes = _chunk_trials(monkeypatch, spec, kernel, size, threads)
+            trial_bytes = chunk_plan(spec, kernel, size, threads)
             spans = [(start, min(start + size, 101)) for start in range(0, 101, size)]
             assert ustat._chunk_spans(101, threads, trial_bytes) == (threads, spans)
             assert _points(extreme_experiment(spec, kernel, k, grid, trials=101, threads=threads)) == default
@@ -890,6 +903,35 @@ def test_pair_closed_form_keeps_its_bits():
     # the closed form leaves sigma2_min = 1.1e-16 here, where rank one makes it 0
     phi = np.array([[0.7, 0.8]])
     assert max_over_subsets(phi, RIC, 2) == 1.0 == subset_values(phi, RIC, 2).max()
+
+
+def _gathered_pair_values(phi, kernel):
+    """Every pair's value in enumeration order, from gathered 2 x 2 blocks of the Gram.
+
+    gram_extremes of the blocks for the eigen kernels, |G_ij| / sqrt(G_ii G_jj)
+    clipped at 1 for the coherence.
+    """
+    pairs = np.array(list(combinations(range(phi.shape[1]), 2)))
+    blocks = gram_stack(phi[None])[0][pairs[:, :, None], pairs[:, None, :]]
+    if kernel.needs_pair:
+        gii, gjj, gij = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
+        return np.minimum(np.abs(gij) / np.sqrt(gii * gjj), 1.0)
+    return spectral_value(kernel, *gram_extremes(blocks, rows=phi.shape[0]))
+
+
+def test_pair_reads_equal_the_block_gather_bitwise():
+    gaussian = sample_matrix(EnsembleSpec("gaussian", 10, 14, base_seed=64), 0).data
+    lattice = sample_matrix(EnsembleSpec("bernoulli", 7, 14, base_seed=65), 0).data
+    rank_one = np.array([[0.7, 0.8, -0.3, 1.2, 0.7]])
+    for phi in (gaussian, lattice, rank_one):
+        for kernel in [*EIGEN_KERNELS, COHERENCE]:
+            want = _gathered_pair_values(phi, kernel)
+            assert _bits(subset_values(phi, kernel, 2)) == _bits(want)
+            assert u_statistic(phi, kernel, 2, float(np.median(want))) == np.mean(want > np.median(want))
+    # a pair with inner product 5/7 keeps sigma2_max one ulp above 12/7 (ROADMAP item 2)
+    assert np.nextafter(12 / 7, 2.0) in subset_values(lattice, SIGMA_MAX_SQ, 2)
+    # every pair of a one-row matrix has rank one: sigma2_min is exactly +0.0
+    assert _bits(subset_values(rank_one, NEG_SIGMA_MIN_SQ, 2)) == _bits(np.full(10, -0.0))
 
 
 def test_large_gram_chunk_memory_is_a_few_trials():
