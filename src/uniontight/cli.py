@@ -9,9 +9,10 @@ lines, keys matching flag names with dashes replaced by underscores, checked
 like the flags) > built-in defaults.  Subcommands that take ``--seed`` read
 its default from the UNIONTIGHT_SEED environment variable when it is set.
 
-Exit codes: 0 success, 1 invalid configuration, 2 infeasible enumeration,
-3 self-check failure, 4 out of memory (an allocation failed, such as the
-n x n Gram of one trial at a very large n).
+Exit codes: 0 success, 1 invalid configuration or a failed write to --out
+(a full disk, a closed pipe), 2 infeasible enumeration, 3 self-check
+failure, 4 out of memory (an allocation failed, such as the n x n Gram of
+one trial at a very large n).
 
 CSVs are deterministic: float cells use 17-significant-digit round-trip
 formatting, counts are exact integers summed over trial chunks sized from one
@@ -54,6 +55,7 @@ from .poisson import lambda_n, poisson_nonzero_approx, poisson_report
 from .ustat import (
     EnumerationInfeasibleError,
     extreme_experiment,
+    feasible_overlaps,
     mc_extreme_tail,
     subset_count,
 )
@@ -227,18 +229,28 @@ def _fmt(value):
 
 
 def _write(out, text):
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    """Write text to --out -> EXIT_OK, or on failure print one error line -> EXIT_CONFIG."""
+    try:
+        if out == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+    except OSError as exc:
+        if out == "-":
+            # the interpreter flushes stdout again at exit: send that to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write --out {out!r}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 def _emit_csv(out, header, rows):
     text = ",".join(header) + "\n" + "".join(
         ",".join(_fmt(cell) for cell in row) + "\n" for row in rows
     )
-    _write(out, text)
+    return _write(out, text)
 
 
 def _preset(cfg, k):
@@ -265,15 +277,11 @@ def run_fig_extreme(cfg):
     cfg["a_max"] = hi if cfg["a_max"] is None else cfg["a_max"]
     _validate_common(cfg)
     grid = _grid(cfg)
-    all_overlaps = [i for i in range(1, k) if 2 * k - i <= spec.n]
+    overlaps = all_overlaps = feasible_overlaps(spec.n, k)
     if cfg["overlap"] is not None:
         if cfg["overlap"] not in all_overlaps:
-            raise ConfigError(
-                f"overlap must be one of {all_overlaps} for k={k}, n={spec.n}"
-            )
+            raise ConfigError(f"overlap must be one of {all_overlaps} for k={k}, n={spec.n}")
         overlaps = [cfg["overlap"]]
-    else:
-        overlaps = all_overlaps
     # the negated-minimum kernel exceeds -a exactly when sigma2_min < a
     thresholds = grid if kernel.variant == "sigma_max_sq" else -grid
     run = extreme_experiment(
@@ -287,27 +295,26 @@ def run_fig_extreme(cfg):
         + ["lambda", "one_minus_exp_neg_lambda", "eps_full", "eps_mid", "eps_single"]
     )
     rows = []
-    for idx, a in enumerate(grid):
-        ext = run.extreme[idx]
-        p_hat = run.marginal[idx].point
-        q_hats = [run.joint[i][idx].point for i in overlaps]
-        lam = lambda_n(spec.n, k, p_hat)
-        row = [float(a), ext.point, ext.std_err, p_hat, *q_hats, lam,
-               poisson_nonzero_approx(lam)]
-        if p_hat > 0.0 and full_set:
-            # overlaps infeasible for this n carry zero weight in the eps sums
-            q_full = [0.0] * (k - 1)
-            for pos, i in enumerate(overlaps):
-                q_full[i - 1] = q_hats[pos]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for idx, a in enumerate(grid):
+            ext = run.extreme[idx]
+            p_hat = run.marginal[idx].point
+            q_hats = [run.joint[i][idx].point for i in overlaps]
+            lam = lambda_n(spec.n, k, p_hat)
+            row = [float(a), ext.point, ext.std_err, p_hat, *q_hats, lam,
+                   poisson_nonzero_approx(lam)]
+            if p_hat > 0.0 and full_set:
+                # overlaps infeasible for this n carry zero weight in the eps sums
+                q_full = [0.0] * (k - 1)
+                for pos, i in enumerate(overlaps):
+                    q_full[i - 1] = q_hats[pos]
                 report = poisson_report(spec.n, k, float(a), p_hat, q_full)
-            row += [report.eps_full, report.eps_mid, report.eps_single]
-        else:
-            row += [None, None, None]
-        rows.append(row)
-    _emit_csv(cfg["out"], header, rows)
-    return EXIT_OK
+                row += [report.eps_full, report.eps_mid, report.eps_single]
+            else:
+                row += [None, None, None]
+            rows.append(row)
+    return _emit_csv(cfg["out"], header, rows)
 
 
 def run_fig_rates(cfg):
@@ -335,8 +342,7 @@ def run_fig_rates(cfg):
                 except ValueError:
                     joint = None
                 rows.append([k, float(a), side, marg, joint])
-    _emit_csv(cfg["out"], header, rows)
-    return EXIT_OK
+    return _emit_csv(cfg["out"], header, rows)
 
 
 def run_fig_coherence(cfg):
@@ -367,8 +373,7 @@ def run_fig_coherence(cfg):
         one_minus = poisson_nonzero_approx(lam)
         term1, term2 = coherence_eps_terms(n, m, a, lam)
         rows.append([a, est.point, est.std_err, proxy, lam, one_minus, term1, term2])
-    _emit_csv(cfg["out"], header, rows)
-    return EXIT_OK
+    return _emit_csv(cfg["out"], header, rows)
 
 
 def run_bounds_table(cfg):
@@ -421,8 +426,7 @@ def run_bounds_table(cfg):
         None,
         lambda: concentration_tail(cfg["eps_const"], cfg["ensemble"]),
     )
-    _emit_csv(cfg["out"], header, rows)
-    return EXIT_OK
+    return _emit_csv(cfg["out"], header, rows)
 
 
 def run_check(cfg):
@@ -440,8 +444,8 @@ def run_check(cfg):
         "failures": failures,
         "skipped": skipped,
     }
-    _write(cfg["out"], json.dumps(report, indent=2) + "\n")
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    written = _write(cfg["out"], json.dumps(report, indent=2) + "\n")
+    return written or (EXIT_CHECK_FAILED if failures else EXIT_OK)
 
 
 # subcommand -> (runner, help, {option: default}); None where there is no default

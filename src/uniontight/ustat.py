@@ -26,13 +26,13 @@ The four Monte-Carlo estimators are selections of one count engine
 asked, the max over all subsets.  Every output row is one per-trial
 statistic, the max over all subsets or the min over an event's subsets (all
 of them exceed a exactly when their min does), and every row is counted by
-one rule: sort the chunk's statistic and ``searchsorted`` the grid into it,
-so counting takes O(trials + grid) memory.  That count is exact for any
-grid as long as no value is NaN, which the kernels never yield from sampled
-(finite) matrices.  One kernel evaluation per trial serves
-the whole threshold grid, so estimated tail curves are monotone by
-construction, and exact integer counts are summed over trial chunks, so
-results are invariant to the chunk size and the degree of parallelism.
+one rule: sort the chunk's statistic and ``searchsorted`` the grid into it.
+Exact integer counts are added to one running total as each trial chunk
+finishes, so counting takes O(trials + grid) memory and results are
+invariant to the chunk size and the degree of parallelism.  The count is
+exact for any grid as long as no value is NaN, which the kernels never yield
+from sampled (finite) matrices.  One kernel evaluation per trial serves the
+whole threshold grid, so estimated tail curves are monotone by construction.
 
 One byte budget for the whole run, ``_CHUNK_BYTES`` (2.5 MiB), sizes the
 chunks (``_chunk_spans``).  It is split across the min(threads, CPUs)
@@ -145,6 +145,11 @@ def canonical_pair(k: int, overlap: int, n: int) -> SubsetPair:
     first = tuple(range(k))
     second = tuple(range(k - overlap, 2 * k - overlap))
     return SubsetPair(first, second, overlap)
+
+
+def feasible_overlaps(n, k):
+    """The overlaps i in [1, k-1] whose canonical pair fits in n columns (2k - i <= n)."""
+    return [i for i in range(1, k) if 2 * k - i <= n]
 
 
 def subset_count(n, k):
@@ -312,7 +317,7 @@ def subset_values(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CAP):
     """Kernel values of one matrix over all size-k subsets, enumeration order."""
     phi = _checked(phi)
     m, n = phi.shape
-    _checked_count(n, k, cap)
+    _check_k(n, k, kernel, cap)
     grams = gram_stack(phi[None])
     values = pair_values if k == 2 else _batch_values
     return np.concatenate([values(grams, kernel, part, m)[0] for part in _slices(n, k, 1)])
@@ -377,18 +382,16 @@ def _chunk_spans(trials, threads, trial_bytes):
 
 
 def _accumulate_counts(trials, threads, trial_bytes, chunk_counts):
-    """Sum integer count vectors over the trial chunks of ``_chunk_spans`` (order-independent).
+    """Sum the integer counts of the chunks of ``_chunk_spans`` into one total as each finishes.
 
-    Every trial's counts are the same whichever chunk holds it, so the sum
-    does not depend on the chunk size, the budget or the thread count.
+    A trial's counts do not depend on the chunk that holds it, so neither does
+    the sum on the chunk size, the budget or the thread count.  One worker needs no pool.
     """
     workers, spans = _chunk_spans(trials, threads, trial_bytes)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda span: chunk_counts(*span), spans))
-    else:
-        parts = [chunk_counts(*span) for span in spans]
-    return np.sum(parts, axis=0)
+            return sum(pool.map(lambda span: chunk_counts(*span), spans))
+    return sum(itertools.starmap(chunk_counts, spans))
 
 
 def _tail_counts(
@@ -398,7 +401,7 @@ def _tail_counts(
 
     Every row counts the trials whose statistic exceeds a, by one rule: B
     minus the ``searchsorted(sort(v), grid, "right")`` of the chunk's B
-    per-trial values v, so counting holds O(trials + grid) memory.  With
+    per-trial values v, summed as chunks finish: O(trials + grid) memory.  With
     ``cap`` set, the Grams span all n columns and the first row's statistic
     is the max over all size-k subsets (enumeration refused above ``cap``);
     otherwise they span only the columns of the ``fixed`` subsets.  Each
@@ -526,7 +529,7 @@ def extreme_experiment(
     joint pairs are read from the same Grams as the max over all subsets.
     """
     if overlaps is None:
-        overlaps = [i for i in range(1, k) if 2 * k - i <= spec.n]
+        overlaps = feasible_overlaps(spec.n, k)
     if len(set(overlaps)) != len(overlaps):
         raise ValueError(f"overlaps must not repeat, got {list(overlaps)}")
     fixed = [tuple(range(k))] + [canonical_pair(k, i, spec.n).second for i in overlaps]

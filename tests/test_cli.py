@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,9 @@ from uniontight.cli import (
     build_parser,
     main,
 )
+
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_csv(path):
@@ -429,6 +435,40 @@ def test_unwritable_out_refused_before_sampling(tmp_path, monkeypatch, capsys):
     assert sampled
 
 
+def _cli_process(args, stdout):
+    """The CLI run in a fresh interpreter, as from a shell, with its stderr as text."""
+    path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "uniontight.cli", *args], stdout=stdout, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path), text=True, timeout=300,
+    )
+
+
+def _assert_one_write_error(proc, out):
+    # exit 1 and one error line: no traceback, and no second error from the exit-time flush
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: cannot write --out {out!r}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["fig-extreme", "check"])
+def test_full_device_write_exits_with_one_error_line(command):
+    proc = _cli_process([command, "--trials", "10", "--out", "/dev/full"], subprocess.DEVNULL)
+    _assert_one_write_error(proc, "/dev/full")
+
+
+def test_closed_stdout_exits_with_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader, so every write to the pipe fails
+    try:
+        proc = _cli_process(["fig-extreme", "--trials", "10"], write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_write_error(proc, "-")
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trials = 120\nn = 6\nseed = 9  # comment\n\n")
@@ -523,13 +563,21 @@ def test_parser_options_equal_config_keys(tmp_path):
 
 
 def test_readme_lists_each_subcommand_options():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
     listed = {}
     for item in re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |^\s*$)", readme, re.M | re.S):
         listed[item[0]] = set(re.findall(r"`(--[a-z-]+)`", item[1]))
     for command in _COMMANDS:
         flags = {"--" + dest.replace("_", "-") for dest in _parser_options(command)}
         assert listed.get(command) == flags, command
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and all(re.match(r"a=\S+ empirical=\S+ poisson=\S+ eps=\S+$", line) for line in printed)
 
 
 def test_seed_env_var_ignored_without_seed_option(tmp_path, monkeypatch):

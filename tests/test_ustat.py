@@ -257,8 +257,15 @@ def test_mc_argument_validation(monkeypatch):
         mc_extreme_tail(spec, COHERENCE, 3, [0.5], trials=10)
     with pytest.raises(ValueError, match="coherence kernel requires k = 2"):
         max_over_subsets(np.random.default_rng(1).standard_normal((5, 6)), COHERENCE, 3)
-    # a grid that is not one-dimensional is refused before anything is sampled
+    # a grid that is not one-dimensional is refused before anything is sampled,
+    # and coherence at k != 2 before any Gram is built
     monkeypatch.setattr(ustat, "sample_batch", _refuse)
+    monkeypatch.setattr(ustat, "gram_stack", _refuse)
+    phi = np.random.default_rng(1).standard_normal((5, 6))
+    with pytest.raises(ValueError, match="^coherence kernel requires k = 2$"):
+        subset_values(phi, COHERENCE, 3)
+    with pytest.raises(ValueError, match="^coherence kernel requires k = 2$"):
+        u_statistic(phi, COHERENCE, 3, 0.5)
     with pytest.raises(ValueError, match="a_grid must be one-dimensional"):
         mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, 2.0, 600)
     with pytest.raises(ValueError, match="a_grid must be one-dimensional"):
@@ -742,6 +749,23 @@ def test_tail_count_memory_does_not_grow_with_trials_times_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tail_count_memory_does_not_grow_with_chunks_times_grid(chunk_plan, threads):
+    # 200 chunks of 8 trials, 3 rows and 20,000 thresholds: keeping every
+    # chunk's counts and stacking them peaked at 184 MiB; a running total
+    # holds a few (rows, grid) arrays whatever the chunk count
+    spec = EnsembleSpec("gaussian", 5, 10, base_seed=7)
+    chunk_plan(spec, SIGMA_MAX_SQ, 8, threads)
+    grid = np.linspace(0.0, 4.0, 20_000)
+    tracemalloc.start()
+    try:
+        ustat._tail_counts(spec, SIGMA_MAX_SQ, 2, grid, 1600, threads, [(0, 1), (1, 2)], [(0,), (0, 1)], cap=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_exhaustive_max_memory_is_slice_sized():
