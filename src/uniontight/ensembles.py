@@ -19,8 +19,10 @@ bit for bit, but no generator is built per trial.  Up to
 ``_VECTOR_WORDS_MAX`` words per trial (m*n, measured crossover) the
 Philox4x64-10 rounds run on uint64 arrays over (trials, 4-word blocks), the
 first block at counter 1 because numpy advances the counter before it
-generates; above it, one generator per ``sample_batch`` call is reseated to
-each trial's key through its ``state`` setter.
+generates.  The rounds run in place (ufunc ``out=``) on nine such arrays
+allocated once per call, so no round allocates.  Above the crossover, one
+generator per ``sample_batch`` call is reseated to each trial's key through
+its ``state`` setter.
 
 ``sample_batch(..., packed=True)`` returns a Bernoulli batch as its sign bits
 instead: each column's m top bits packed into ceil(m/64) uint64 words, from
@@ -92,23 +94,41 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT63 = np.uint64(63)  # a raw word's top bit is its Bernoulli sign
 # Most words per trial for which the vectorized rounds beat reseating one
-# generator.  Medians per 512-trial chunk on a 2-vCPU x86-64 host, vectorized
-# vs reseated: 48 words 1.8 vs 2.4 ms, 64 words 2.2-2.5 vs 2.6 ms, 80 words
-# 3.0-3.2 vs 2.7 ms, 160 words 4.9-5.5 vs 2.4-3.2 ms.
+# generator.  Interleaved medians of two runs on a 2-vCPU x86-64 host,
+# vectorized vs reseated, per 512- and 1,092-trial chunk: 48 words 1.6-1.8 vs
+# 2.7-3.0 and 2.1-2.9 vs 3.2-5.8 ms, 64 words 2.0-2.1 vs 3.0 and 2.7-3.6 vs
+# 3.4-6.0 ms, 80 words 1.7-2.5 vs 1.7-2.4 and 4.5-5.8 vs 4.1-6.7 ms, 128 words
+# 3.1-4.3 vs 2.2-3.6 and 7.1-9.5 vs 4.4-7.8 ms.  At 128 trials a chunk the
+# reseated generator is ahead from 48 words on (0.9 vs 0.75 ms), but only runs
+# of that few trials get such chunks.
 _VECTOR_WORDS_MAX = 64
 # Raw words drawn at once by a packed call (16 MiB); a 512-trial chunk of
 # 50 x 100 matrices takes 2 tiles, of 50 x 1000 matrices 13.
 _WORD_TILE_BYTES = 1 << 24
 
 
-def _mulhilo(mul, x):
-    """High and low 64-bit words of the 128-bit product mul * x (x uint64)."""
+def _mulhi(mul, x, hi, s0, s1, s2):
+    """Write into ``hi`` the high 64-bit words of the 128-bit products mul * x.
+
+    The 32-bit halves carry as t = xl*ml, u = xh*ml + (t >> 32),
+    v = xl*mh + (u & L), hi = xh*mh + (u >> 32) + (v >> 32); no term
+    overflows 64 bits.  ``hi`` holds xh until its last three steps, and
+    ``s0``-``s2`` are scratch arrays of x's shape.
+    """
     m_lo, m_hi = np.uint64(mul & 0xFFFFFFFF), np.uint64(mul >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lh, hl = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, x * np.uint64(mul)
+    x_lo = np.bitwise_and(x, _LOW32, out=s0)
+    x_hi = np.right_shift(x, _SHIFT32, out=hi)
+    t = np.multiply(x_lo, m_lo, out=s1)
+    t >>= _SHIFT32
+    u = np.multiply(x_hi, m_lo, out=s2)
+    u += t
+    v = np.multiply(x_lo, m_hi, out=s0)
+    v += np.bitwise_and(u, _LOW32, out=s1)
+    u >>= _SHIFT32
+    v >>= _SHIFT32
+    hi *= m_hi
+    hi += u
+    hi += v
 
 
 def _philox_words(base_seed, first, count, size):
@@ -117,21 +137,33 @@ def _philox_words(base_seed, first, count, size):
     Trial t's stream is keyed (base_seed, t) and its j-th 4-word block is
     Philox4x64-10 of the counter (j + 1, 0, 0, 0): numpy advances the counter
     before it generates, so a fresh generator's first block is counter 1.
+    The rounds run in place on nine (count, blocks) arrays allocated once: the
+    four state words, the two high words and three scratch arrays.
     """
-    blocks = -(-size // 4)
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
-    x1 = x2 = x3 = np.zeros((count, blocks), dtype=np.uint64)
+    shape = (count, -(-size // 4))
+    x0 = np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape).copy()
+    x1, x2, x3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
+    hi0, hi1, *scratch = (np.empty(shape, dtype=np.uint64) for _ in range(5))
     k0 = np.uint64(base_seed)
     k1 = (np.uint64(first) + np.arange(count, dtype=np.uint64))[:, None]
+    mul0, mul1 = (np.uint64(mul) for mul in _PHILOX_MUL)
     with np.errstate(over="ignore"):
         for r in range(_PHILOX_ROUNDS):
             if r:
                 k0 = k0 + np.uint64(_PHILOX_WEYL[0])
-                k1 = k1 + np.uint64(_PHILOX_WEYL[1])
-            hi0, lo0 = _mulhilo(_PHILOX_MUL[0], x0)
-            hi1, lo1 = _mulhilo(_PHILOX_MUL[1], x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack((x0, x1, x2, x3), axis=2).reshape(count, 4 * blocks)[:, :size]
+                k1 += np.uint64(_PHILOX_WEYL[1])
+            _mulhi(_PHILOX_MUL[0], x0, hi0, *scratch)
+            _mulhi(_PHILOX_MUL[1], x2, hi1, *scratch)
+            hi1 ^= x1
+            hi1 ^= k0
+            hi0 ^= x3
+            hi0 ^= k1
+            np.multiply(x2, mul1, out=x1)
+            np.multiply(x0, mul0, out=x3)
+            # the new x0 and x2 are the high words; the old ones take their place
+            x0, x2, hi0, hi1 = hi1, hi0, x0, x2
+    del hi0, hi1, scratch  # so that the output is not allocated beside them
+    return np.stack((x0, x1, x2, x3), axis=2).reshape(count, 4 * shape[1])[:, :size]
 
 
 def _reseated_words(base_seed, first, count, size):

@@ -27,9 +27,9 @@ asked, the max over all subsets.  Every output row is one per-trial
 statistic, the max over all subsets or the min over an event's subsets (all
 of them exceed a exactly when their min does), and every row is counted by
 one rule: sort the chunk's statistic and ``searchsorted`` the grid into it.
-Exact integer counts are added to one running total as each trial chunk
-finishes, so counting takes O(trials + grid) memory and results are
-invariant to the chunk size and the degree of parallelism.  The count is
+Exact integer counts are added to a running total, one per worker, as each
+trial chunk finishes, so counting takes O(trials + grid) memory and results
+are invariant to the chunk size and the degree of parallelism.  The count is
 exact for any grid as long as no value is NaN, which the kernels never yield
 from sampled (finite) matrices.  One kernel evaluation per trial serves the
 whole threshold grid, so estimated tail curves are monotone by construction.
@@ -69,6 +69,7 @@ sigma2_min found.  At k > m every sigma2_min is exactly 0, and the
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -382,16 +383,34 @@ def _chunk_spans(trials, threads, trial_bytes):
 
 
 def _accumulate_counts(trials, threads, trial_bytes, chunk_counts):
-    """Sum the integer counts of the chunks of ``_chunk_spans`` into one total as each finishes.
+    """Sum the integer counts of the chunks of ``_chunk_spans`` as each finishes.
 
     A trial's counts do not depend on the chunk that holds it, so neither does
-    the sum on the chunk size, the budget or the thread count.  One worker needs no pool.
+    the sum on the chunk size, the budget or the thread count.  One worker needs
+    no pool.  Pool workers take chunks one at a time from a shared queue and
+    each keeps a running total, so nothing held grows with the chunk count; once
+    a chunk fails, the queue is emptied and the others stop after their current chunk.
     """
     workers, spans = _chunk_spans(trials, threads, trial_bytes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(lambda span: chunk_counts(*span), spans))
-    return sum(itertools.starmap(chunk_counts, spans))
+    if workers == 1:
+        return sum(itertools.starmap(chunk_counts, spans))
+    queue = collections.deque(spans)  # popleft and clear are thread-safe
+
+    def fold(_):
+        total = 0
+        while True:
+            try:
+                span = queue.popleft()
+            except IndexError:
+                return total
+            try:
+                total += chunk_counts(*span)
+            except BaseException:
+                queue.clear()
+                raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(fold, range(workers)))
 
 
 def _tail_counts(

@@ -147,6 +147,16 @@ def test_fig_extreme_pinned_bytes(tmp_path, kernel, ensemble, m, n, k, trials, d
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fig_extreme_vectorized_sampler_pinned_bytes(tmp_path, threads):
+    # 50 words per trial run the Philox rounds on whole trial chunks (1,092
+    # trials a chunk at two workers, 2,184 at one), the extreme_sampling path
+    out = tmp_path / "pinned.csv"
+    args = ["--ensemble", "gaussian", "--m", "5", "--n", "10", "--k", "2", "--trials", "5000"]
+    assert _run(["fig-extreme", *args, "--seed", "7", "--threads", str(threads), "--out", str(out)]) == EXIT_OK
+    digest = "60eea8c74da00e9e2b0022d2b68c1ecd79fa7ec13e7d76cb129838a921da6956"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 def test_fig_extreme_overlap_restriction(tmp_path):
     out = tmp_path / "overlap.csv"

@@ -73,6 +73,8 @@ def _batch_words(monkeypatch, spec, start, stop):
         (0, 1, 1, 0, 8),
         (2**64 - 1, 1, 7, 37, 45),
         (7, 5, 10, 0, 64),
+        (7, 5, 10, 0, 1092),  # a two-worker extreme_sampling chunk
+        (11, 5, 8, 2**40, 2**40 + 9),  # 40 words: whole blocks, none cut
         (3, 5, 10, 2**64 - 9, 2**64),
         (8117, 50, 100, 2**64 - 3, 2**64),
     ],

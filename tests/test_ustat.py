@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -433,6 +435,40 @@ def test_thread_count_clamped_to_chunks_and_cpus(monkeypatch):
             assert [e.point for e in est] == serial
 
 
+def test_failed_chunk_stops_the_other_workers(monkeypatch):
+    # 100 one-trial chunks on two workers: chunk 1 fails at once while chunk 0
+    # takes 0.2 s, and the failing worker takes no further chunk; waiting for
+    # chunk 0 before stopping ran about 20 more of 10 ms each
+    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ustat, "_CHUNK_BYTES", 2)
+    ran = []
+
+    def chunk_counts(start, stop):
+        ran.append(start)
+        if start == 1:
+            raise MemoryError
+        time.sleep(0.2 if start == 0 else 0.01)
+        return np.ones(3, dtype=np.int64)
+
+    with pytest.raises(MemoryError):
+        ustat._accumulate_counts(100, 2, 1, chunk_counts)
+    assert len(ran) < 10
+
+
+def test_shared_chunk_queue_counts_every_chunk_once(monkeypatch):
+    # eight workers on 2,000 one-trial chunks, switching threads as often as
+    # the interpreter allows: a chunk taken twice or lost changes the total
+    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(ustat, "_CHUNK_BYTES", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        total = ustat._accumulate_counts(2000, 8, 1, lambda start, stop: np.array([1, start]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert total.tolist() == [2000, sum(range(2000))]
+
+
 def _points(run):
     return (
         [e.point for e in run.extreme],
@@ -766,6 +802,21 @@ def test_tail_count_memory_does_not_grow_with_chunks_times_grid(chunk_plan, thre
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_threaded_fold_memory_does_not_grow_with_chunks(chunk_plan):
+    # 1,000 one-trial chunks on two workers: submitting every chunk at once
+    # peaked at 2.5 MiB traced, while one worker (no pool) peaks at 0.11 MiB
+    spec = EnsembleSpec("gaussian", 5, 10, base_seed=7)
+    chunk_plan(spec, SIGMA_MAX_SQ, 1, threads=2)
+    grid = np.linspace(0.0, 4.0, 60)
+    tracemalloc.start()
+    try:
+        ustat._tail_counts(spec, SIGMA_MAX_SQ, 2, grid, 1000, 2, [(0, 1), (1, 2)], [(0,), (0, 1)], cap=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
 
 
 def test_exhaustive_max_memory_is_slice_sized():
