@@ -148,18 +148,17 @@ def check_ustat_binomial(trials, seed):
     guard = _ci_guard(trials)
     if guard:
         return guard
-    # for k = 1, gaussian, m = 2: ||col||^2 ~ Exp(1), so p(a) = e^-a exactly
+    # for k = 1, gaussian, m = 2: ||col||^2 ~ Exp(1), so p(a) = e^-a exactly.
+    # Each column's estimate reads the same trials, so the p_j sum to the mean
+    # of n*U_n, and the columns are independent, so their variances add.
     spec = EnsembleSpec("gaussian", 2, 5, seed)
     a = 0.8
-    counts = np.empty(trials)
-    for start in range(0, trials, 512):
-        stop = min(start + 512, trials)
-        mats = sample_batch(spec, start, stop)
-        counts[start:stop] = (np.sum(mats**2, axis=1) > a).sum(axis=1)
-    expected = spec.n * math.exp(-a)
-    se = counts.std(ddof=1) / math.sqrt(trials)
-    if abs(counts.mean() - expected) > 3.0 * se:
-        return FAIL, f"n*U_n mean {counts.mean():.3f} vs binomial mean {expected:.3f}"
+    tails = [ustat.mc_marginal_tail(spec, SIGMA_MAX_SQ, 1, [a], trials, subset=(j,)) for j in range(spec.n)]
+    p = np.concatenate([tail.point for tail in tails])
+    mean, expected = p.sum(), spec.n * math.exp(-a)
+    se = math.sqrt((p * (1.0 - p)).sum() / trials)
+    if abs(mean - expected) > 3.0 * se:
+        return FAIL, f"n*U_n mean {mean:.3f} vs binomial mean {expected:.3f}"
     return PASS, f"k=1 subset counts match the binomial mean over {trials} trials"
 
 

@@ -33,6 +33,7 @@ are invariant to the chunk size and the degree of parallelism.  The count is
 exact for any grid as long as no value is NaN, which the kernels never yield
 from sampled (finite) matrices.  One kernel evaluation per trial serves the
 whole threshold grid, so estimated tail curves are monotone by construction.
+Each curve is one read-only record array of ``TailEstimate``.
 
 One byte budget for the whole run, ``_CHUNK_BYTES`` (2.5 MiB), sizes the
 chunks (``_chunk_spans``).  It is split across the min(threads, CPUs)
@@ -75,7 +76,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb, inf, sqrt
+from math import comb, inf
 
 import numpy as np
 
@@ -340,21 +341,16 @@ def max_over_subsets(phi, kernel: KernelId, k: int, cap: int = DEFAULT_SUBSET_CA
     return float(_max_values(gram_stack(phi[None]), kernel, k, phi.shape[0])[0])
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    """Binomial Monte-Carlo estimate of one tail probability."""
-
-    threshold: float
-    point: float
-    std_err: float
-    trials: int
+# a record per threshold: the binomial Monte-Carlo estimate of one tail probability
+TailEstimate = np.dtype([("threshold", "f8"), ("point", "f8"), ("std_err", "f8"), ("trials", "i8")])
 
 
 def _estimates(grid, counts, trials):
-    out = []
-    for a, c in zip(grid, counts):
-        p = c / trials
-        out.append(TailEstimate(float(a), p, sqrt(p * (1.0 - p) / trials), trials))
+    """One read-only ``np.recarray`` of ``TailEstimate`` per curve: p = count / trials and its SE."""
+    p = counts / trials
+    fields = [grid, p, np.sqrt(p * (1.0 - p) / trials), np.full(len(p), trials)]
+    out = np.rec.fromarrays(fields, dtype=TailEstimate)
+    out.flags.writeable = False
     return out
 
 
@@ -481,7 +477,7 @@ def mc_marginal_tail(
     subset=None,
     threads: int = 1,
 ):
-    """Estimate p(a) = Pr{kernel(A_S) > a} on one fixed subset, per grid point.
+    """Estimate p(a) = Pr{kernel(A_S) > a} on one fixed subset: a TailEstimate record per grid point.
 
     The default subset is {0..k-1}; by column exchangeability any fixed subset
     gives the same distribution.
@@ -501,7 +497,7 @@ def mc_joint_tail(
     trials: int,
     threads: int = 1,
 ):
-    """Estimate q_i(a) = Pr{kernel(A_S) > a and kernel(A_R) > a} for |S & R| = i."""
+    """TailEstimate records of q_i(a) = Pr{kernel(A_S) > a and kernel(A_R) > a}, |S & R| = i."""
     pair = canonical_pair(k, overlap, spec.n)
     fixed = [pair.first, pair.second]
     grid, counts = _tail_counts(spec, kernel, k, a_grid, trials, threads, fixed, [(0, 1)])
@@ -517,19 +513,19 @@ def mc_extreme_tail(
     cap: int = DEFAULT_SUBSET_CAP,
     threads: int = 1,
 ):
-    """Estimate Pr{max over all size-k subsets of kernel(A_S) > a} per grid point."""
+    """TailEstimate records of Pr{max over all size-k subsets of kernel(A_S) > a}, one per grid point."""
     grid, counts = _tail_counts(spec, kernel, k, a_grid, trials, threads, cap=cap)
     return _estimates(grid, counts[0], trials)
 
 
 @dataclass(frozen=True)
 class ExtremeRun:
-    """Extreme, marginal and joint tail estimates from one shared trial stream."""
+    """Extreme, marginal and joint TailEstimate record arrays from one shared trial stream."""
 
     grid: np.ndarray
-    extreme: list
-    marginal: list
-    joint: dict  # overlap -> list[TailEstimate]
+    extreme: np.recarray
+    marginal: np.recarray
+    joint: dict  # overlap -> np.recarray of TailEstimate
 
 
 def extreme_experiment(

@@ -649,6 +649,39 @@ def test_fig_extreme_bernoulli_tie_at_one(tmp_path):
         assert p_hat == np.count_nonzero(inner) / trials
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_fig_extreme_bernoulli_ties_match_integer_recount(tmp_path):
+    # the grid points 1 + j/7 sit on the lattice values (m + |J|)/m of
+    # sigma2_max, where a tie counts 0; pair_extremes rounds some of them up,
+    # so at a = 12/7 the CSV reads 0.9985 where the recount gives 0.5145
+    m, n, trials = 7, 10, 2000
+    out = tmp_path / "ties.csv"
+    code = _run(
+        [
+            "fig-extreme", "--ensemble", "bernoulli", "--m", str(m), "--n", str(n),
+            "--k", "2", "--trials", str(trials), "--seed", "7",
+            "--a-min", "1", "--a-max", "2", "--a-steps", "8", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    header, rows = _read_csv(out)
+    signs = np.sign(sample_batch(EnsembleSpec("bernoulli", m, n, 7), 0, trials)).astype(np.int64)
+    inner = np.abs(np.einsum("bmi,bmj->bij", signs, signs))
+    upper = np.triu_indices(n, 1)
+    # the marginal pair is {0, 1}; the overlap-1 joint pairs it with {1, 2}
+    curves = {
+        "empirical_extreme": inner[:, upper[0], upper[1]].max(axis=1),
+        "p_hat": inner[:, 0, 1],
+        "q_hat_1": np.minimum(inner[:, 0, 1], inner[:, 1, 2]),
+    }
+    for row in rows:
+        a = float(row[0])
+        for name, j in curves.items():
+            # sigma2_max is the lattice value (m + |J|)/m, one correctly rounded division
+            want = sum(1 for x in j.tolist() if (m + x) / m > a) / trials
+            assert float(row[header.index(name)]) == want, (row[0], name)
+
+
 def _recorded_samples(monkeypatch):
     sampled = []
 
