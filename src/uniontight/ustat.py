@@ -45,10 +45,12 @@ enumeration of the subsets, exhaustive or pruned, walks them in one kind of
 slice (``_slices``): 256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound
 per matrix and subset, so a slice's gathered k x k Grams take k^2 times
 that, and ``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.
-Both are per worker, so threads multiply them.  Each slice is filled
-straight from the lexicographic stream, so no array of every subset is
-built.  A single trial larger than the budget still runs, as a chunk of its
-own.
+The pruned max also holds one ``_workspace`` of eight slice-sized bound
+tables, 2 MiB at 256 KiB a table, and a copy of the chunk's Grams with the
+trial last.  All of these are per worker, outside ``_CHUNK_BYTES``, so
+threads multiply them.  Each slice is filled straight from the lexicographic
+stream, so no array of every subset is built.  A single trial larger than
+the budget still runs, as a chunk of its own.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -57,15 +59,20 @@ bound and every subset is evaluated.  Each subset's extreme eigenvalues are
 bounded by bordering its lexicographic prefixes, from the 1 x 1 diagonal up to
 k (``_bordered_bounds``; Horn & Johnson, *Matrix Analysis*, ch. 4), the lower
 side only for the kernels that read it, and the subset gets the kernel's value
-at those bounds.  Slice by slice of the enumeration, a subset is decomposed
-only when its bound, widened by 1e-9 of |bound| + ub_smax for rounding,
-reaches the running maximum of its matrix, so the maximum and every count are
-exactly those of exhaustive evaluation.  On 10 x 20 Gaussian matrices (seed 7) 0.49%
-of subsets are decomposed at k = 4 (128 trials) for ``ric`` and
-``sigma_max_sq``, and for ``neg_sigma_min_sq`` 52%, or 13% at k = 3 (512
-trials), where most lower bounds on sigma2_min still sit below the smallest
-sigma2_min found.  At k > m every sigma2_min is exactly 0, and the
-``neg_sigma_min_sq`` max is -0.0 with no ``eigvalsh`` at all.
+at those bounds.  The bounds are gathered as whole rows of a Gram table with
+the trial last, into the fixed workspace, so no slice allocates a
+(subsets, trials) array.  The running maximum of each matrix starts at the
+values of subsets grown greedily on the same bounds (``_greedy_seeds``).
+Slice by slice of the enumeration, a subset is decomposed only when its
+bound, widened by 1e-9 of |bound| + ub_smax for rounding, reaches that
+running maximum, so the maximum and every count are exactly those of
+exhaustive evaluation.  On 10 x 20 Gaussian matrices (seed 7) 0.23% of
+subsets are decomposed at k = 4 (128 trials) for ``ric`` and 0.21% for
+``sigma_max_sq`` (0.42% and 0.32% at k = 3, 512 trials), and for
+``neg_sigma_min_sq`` 51%, or 12% at k = 3, where most lower bounds on
+sigma2_min still sit below the smallest sigma2_min found.  At k > m every
+sigma2_min is exactly 0, and the ``neg_sigma_min_sq`` max is -0.0 with no
+``eigvalsh`` at all.
 """
 
 from __future__ import annotations
@@ -201,16 +208,23 @@ def _batch_values(grams, kernel: KernelId, subs, rows, picks=None):
     return spectral_value(kernel, smin, smax)
 
 
+def _slice_size(n, k, matrices):
+    """Subsets in one slice of ``_slices``: _SLICE_BYTES of one 8-byte value per (matrix, subset).
+
+    Fewer where the slice's gathered k x k Grams could exceed _BLOCK_BYTES
+    (only at k > 32), never less than one subset and never more than C(n, k).
+    """
+    return min(comb(n, k), max(1, min(_SLICE_BYTES, _BLOCK_BYTES // (k * k)) // (matrices * 8)))
+
+
 def _slices(n, k, matrices):
     """All size-k subsets of range(n) as consecutive (size, k) int64 slices, in enumeration order.
 
-    A slice holds _SLICE_BYTES of one 8-byte value or bound per (matrix,
-    subset) over a stack of ``matrices`` Grams, fewer where its gathered
-    k x k Grams could exceed _BLOCK_BYTES (only at k > 32), and never less
-    than one subset.  Each slice is filled from the lexicographic stream, so
-    only one slice of subsets exists at a time.
+    Each slice holds ``_slice_size`` subsets over a stack of ``matrices``
+    Grams, the last one the rest, and is filled from the lexicographic
+    stream, so only one slice of subsets exists at a time.
     """
-    step = max(1, min(_SLICE_BYTES, _BLOCK_BYTES // (k * k)) // (matrices * 8))
+    step = _slice_size(n, k, matrices)
     stream = itertools.chain.from_iterable(itertools.combinations(range(n), k))
     count = comb(n, k)
     for start in range(0, count, step):
@@ -218,10 +232,35 @@ def _slices(n, k, matrices):
         yield np.fromiter(stream, dtype=np.int64, count=size * k).reshape(size, k)
 
 
-def _bordered_bounds(flat, n, subs, rows):
-    """(lb_smin, ub_smax), each (B, N): bounds on the extreme eigenvalues of subsets.
+def _workspace(size, matrices):
+    """The fixed buffers of ``_bordered_bounds`` and ``_subset_reach``: eight (size, matrices) float64 tables.
 
-    flat: (B, n * n) Grams.  A subset S with lexicographic prefix T (its first
+    One ``np.empty``, so a table no slice writes, such as the lower side for
+    sigma_max_sq, is never faulted in.
+    """
+    return np.empty((8, size, matrices))
+
+
+def _border(side, c, b_sq, half, root, sign):
+    """side <- (side + c)/2 + sign sqrt(((side - c)/2)^2 + b_sq), in place; half and root are work buffers."""
+    np.subtract(side, c, out=half)
+    half *= 0.5
+    np.multiply(half, half, out=root)
+    root += b_sq
+    np.sqrt(root, out=root)
+    if sign > 0:
+        half -= root
+    else:
+        half += root
+    side -= half
+
+
+def _bordered_bounds(table, subs, rows, work):
+    """(lb_smin, ub_smax), each (N, B): bounds on the extreme eigenvalues of subsets, views into work.
+
+    table: (n, n, B) Grams, trial last and contiguous, so every gather below
+    copies whole rows of B values; work: a ``_workspace`` of at least
+    N = len(subs) rows.  A subset S with lexicographic prefix T (its first
     k - 1 indices) and last index s has Gram [[G_T, b], [b^T, c]], c = G_ss,
     and for any U >= lambda_max(G_T) and L <= lambda_min(G_T)
 
@@ -233,51 +272,103 @@ def _bordered_bounds(flat, n, subs, rows):
     diagonal.  Each level's table holds one row per prefix that occurs in
     subs, read at the rows where the prefix differs from the previous one;
     a cumulative sum over those rows gives each subset the rank of its
-    prefix.  sigma2_min is bounded by 0 from below, and is exactly 0 when
-    k > m; rows = 0 asks for that trivial lower bound alone.
+    prefix, and its row is taken from the previous level's table into the
+    other of two ping-pong buffers.  sigma2_min is bounded by 0 from below,
+    and is exactly 0 when k > m; rows = 0 asks for that trivial lower bound
+    alone, a read-only broadcast 0 that writes no buffer.
     """
-    k = subs.shape[1]
-    fresh = np.zeros(len(subs), dtype=bool)
+    n, (size, k) = len(table), subs.shape
+    flat = table.reshape(n * n, -1)
+    upper, upper_next, lower, lower_next, c, b_sq, half, root = work[:, :size]
+    fresh = np.zeros(size, dtype=bool)
     fresh[0] = True
     for j in range(k):
+        rank = np.cumsum(fresh) - 1  # of each subset's length-j prefix, in the previous table
         last = subs[:, j]
         fresh[1:] |= last[1:] != last[:-1]
         starts = np.flatnonzero(fresh)
-        s = last[starts]
-        c = flat[:, s * (n + 1)]
+        s, p = last[starts], len(starts)
+        # every index is in range by construction; take's default mode="raise"
+        # would fill a temporary of the output's size and copy it into out
         if j == 0:
-            lower, upper = c, c
-        else:
-            edge = flat[:, subs[starts, :j] * n + s[:, None]]
-            b_sq = np.einsum("bpj,bpj->bp", edge, edge)
-            parent = rank[starts]
-            upper = upper[:, parent]
-            half = 0.5 * (upper - c)
-            upper -= half - np.sqrt(half * half + b_sq)
+            np.take(flat, s * (n + 1), axis=0, out=upper[:p], mode="clip")
             if k <= rows:
-                lower = lower[:, parent]
-                half = 0.5 * (lower - c)
-                lower -= half + np.sqrt(half * half + b_sq)
-        rank = np.cumsum(fresh) - 1
+                np.copyto(lower[:p], upper[:p])
+            continue
+        cj, bj, hj, rj = c[:p], b_sq[:p], half[:p], root[:p]
+        np.take(flat, s * (n + 1), axis=0, out=cj, mode="clip")
+        edges = subs[starts, :j] * n + s[:, None]
+        np.square(np.take(flat, edges[:, 0], axis=0, out=bj, mode="clip"), out=bj)
+        for i in range(1, j):
+            bj += np.square(np.take(flat, edges[:, i], axis=0, out=rj, mode="clip"), out=rj)
+        parent = rank[starts]
+        np.take(upper, parent, axis=0, out=upper_next[:p], mode="clip")
+        _border(upper_next[:p], cj, bj, hj, rj, 1)
+        upper, upper_next = upper_next, upper
+        if k <= rows:
+            np.take(lower, parent, axis=0, out=lower_next[:p], mode="clip")
+            _border(lower_next[:p], cj, bj, hj, rj, -1)
+            lower, lower_next = lower_next, lower
     if k > rows:
-        return np.zeros_like(upper), upper
-    return np.maximum(lower, 0.0), upper
+        return np.broadcast_to(0.0, upper.shape), upper
+    return np.maximum(lower, 0.0, out=lower), upper
 
 
-def _subset_reach(grams, kernel: KernelId, subs, rows):
-    """(B, N) upper bounds on the kernel values of subs, widened for rounding.
+def _subset_reach(table, kernel: KernelId, subs, rows, work):
+    """(N, B) upper bounds on the kernel values of subs, widened for rounding: a view into work.
 
     The bound is spectral_value at the bordered-prefix bounds (lb_smin,
     ub_smax) of ``_bordered_bounds``, plus _BOUND_MARGIN times
-    |bound| + ub_smax, which covers rounding in the bound and in eigvalsh.
-    sigma_max_sq reads no lower bound, so it is given the trivial one, 0,
-    which holds for every PSD Gram: rows = 0 takes that branch.
+    |bound| + ub_smax, which covers rounding in the bound and in eigvalsh;
+    it is worked in the buffers the bounds no longer need.  sigma_max_sq
+    reads no lower bound, so it is given the trivial one, 0, which holds for
+    every PSD Gram: rows = 0 takes that branch.
     """
-    n = grams.shape[-1]
-    rows = 0 if kernel.variant == "sigma_max_sq" else rows
-    lb_smin, ub_smax = _bordered_bounds(grams.reshape(len(grams), n * n), n, subs, rows)
-    bound = spectral_value(kernel, lb_smin, ub_smax)
-    return bound + _BOUND_MARGIN * (np.abs(bound) + ub_smax)
+    lb_smin, ub_smax = _bordered_bounds(table, subs, 0 if kernel.variant == "sigma_max_sq" else rows, work)
+    bound, slack = work[4, : len(subs)], work[5, : len(subs)]  # c and b_sq of _bordered_bounds
+    if kernel.variant == "sigma_max_sq":
+        bound = ub_smax
+    elif kernel.variant == "neg_sigma_min_sq":
+        np.negative(lb_smin, out=bound)
+    else:
+        np.maximum(np.subtract(ub_smax, 1.0, out=bound), np.subtract(1.0, lb_smin, out=slack), out=bound)
+    np.abs(bound, out=slack)
+    slack += ub_smax
+    slack *= _BOUND_MARGIN
+    slack += bound
+    return slack
+
+
+def _greedy_seeds(grams, kernel: KernelId, k):
+    """Column subsets grown greedily on the bordered bounds: a list of (B, k) sorted index arrays.
+
+    Each subset starts at the matrix's largest diagonal entry and adds, k - 1
+    times, the column not yet in it whose bordered bound (as in
+    ``_bordered_bounds``) on lambda_max is largest.  The kernels that read
+    sigma2_min get a second subset, grown from the smallest diagonal entry
+    on the lower bound.  Each array holds one subset per matrix.  Their values
+    are real subset values, so any of them may seed the running max of
+    ``_max_values``.
+    """
+    count, n = grams.shape[0], grams.shape[-1]
+    diag = np.diagonal(grams, axis1=-2, axis2=-1)
+    every = np.arange(count)
+    seeds = []
+    for sign in (1,) if kernel.variant == "sigma_max_sq" else (1, -1):
+        chosen = np.empty((count, k), dtype=np.int64)
+        b_sq = np.zeros((count, n))  # ||b||^2 of each column against the subset grown so far
+        bound = diag
+        for j in range(k):
+            if j > 0:
+                half = 0.5 * (grown[:, None] - diag)
+                bound = grown[:, None] - half + sign * np.sqrt(half * half + b_sq)
+            score = sign * bound
+            score[every[:, None], chosen[:, :j]] = -np.inf
+            pick = score.argmax(axis=1)
+            chosen[:, j], grown = pick, bound[every, pick]
+            b_sq += np.square(grams[every, pick])
+        seeds.append(np.sort(chosen, axis=1))
+    return seeds
 
 
 def _max_values(grams, kernel: KernelId, k, rows):
@@ -289,28 +380,33 @@ def _max_values(grams, kernel: KernelId, k, rows):
     ``kernels.pair_values``.  At k > m every sigma2_min is exactly 0, so the
     neg_sigma_min_sq max is -0.0 with no eigvalsh.
     Otherwise (k >= 3) this is an exact branch and bound over the same slices
-    in enumeration order: each slice is bounded by ``_subset_reach``, the
-    first slice seeds a running max with each matrix's best-bound subset, and
-    only the subsets whose widened bound reaches the running max are
-    decomposed.  A skipped subset cannot hold the maximum, and eigvalsh gives
-    each k x k Gram the same floats whatever else is in its stack, so the
-    maximum is bit for bit the exhaustive one.  Both branches take their
-    slices from ``_slices``.
+    in enumeration order.  The running max is seeded with the values of the
+    ``_greedy_seeds`` subsets.  The Grams are copied once into an (n, n, B)
+    table with the trial last, and one ``_workspace`` of slice size holds
+    every bound: each slice is bounded by ``_subset_reach``, and only the
+    subsets whose widened bound reaches the running max are decomposed.  A
+    skipped subset cannot hold the maximum, and eigvalsh gives each k x k
+    Gram, gathered from ``grams``, the same floats whatever else is in its
+    stack, so the maximum is bit for bit the exhaustive one.  Both branches
+    take their slices from ``_slices``.
     """
     if kernel.needs_pair:
         return gram_mutual_coherence(grams)
+    count, n = grams.shape[0], grams.shape[-1]
     if kernel.variant == "neg_sigma_min_sq" and k > rows:
-        return np.full(len(grams), -0.0)
-    slices = _slices(grams.shape[-1], k, len(grams))
+        return np.full(count, -0.0)
+    slices = _slices(n, k, count)
     if k < 3:
         values = pair_values if k == 2 else _batch_values
         return functools.reduce(np.maximum, (values(grams, kernel, part, rows).max(axis=1) for part in slices))
-    top = None
+    every = np.arange(count)
+    top = functools.reduce(
+        np.maximum, (_batch_values(grams, kernel, seed, rows, every) for seed in _greedy_seeds(grams, kernel, k))
+    )
+    table = np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+    work = _workspace(_slice_size(n, k, count), count)
     for part in slices:
-        reach = _subset_reach(grams, kernel, part, rows)
-        if top is None:
-            top = _batch_values(grams, kernel, part[reach.argmax(axis=1)], rows, np.arange(len(grams)))
-        picks, pos = np.nonzero(reach >= top[:, None])
+        pos, picks = np.nonzero(_subset_reach(table, kernel, part, rows, work) >= top)
         np.maximum.at(top, picks, _batch_values(grams, kernel, part[pos], rows, picks))
     return top
 
@@ -365,14 +461,22 @@ def _trial_bytes(spec: EnsembleSpec, cols, packed):
     return 8 * (spec.m * spec.n + cols * cols)
 
 
+def _cpus():
+    """The CPUs this process may run on: its affinity mask where the platform has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunk_spans(trials, threads, trial_bytes):
     """(workers, spans): the trial chunks [start, stop) of a run and the threads that share them.
 
-    ``_CHUNK_BYTES`` is split across min(threads, CPUs) workers, and a chunk
-    holds as many trials of ``trial_bytes`` as one worker's share takes, at
-    least one.  Workers are then capped at the chunk count.
+    ``_CHUNK_BYTES`` is split across min(threads, CPUs) workers, where CPUs
+    are those of ``_cpus``, and a chunk holds as many trials of
+    ``trial_bytes`` as one worker's share takes, at least one.  Workers are
+    then capped at the chunk count.
     """
-    workers = max(1, min(threads, os.cpu_count() or 1))
+    workers = max(1, min(threads, _cpus()))
     size = max(1, _CHUNK_BYTES // (workers * trial_bytes))
     spans = [(s, min(s + size, trials)) for s in range(0, trials, size)]
     return min(workers, len(spans)), spans

@@ -13,7 +13,7 @@ def chunk_plan(monkeypatch):
     workers share the chunks, and a run at one thread, one worker, gets
     chunks of min(threads, 2) * size trials.
     """
-    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ustat, "_cpus", lambda: 2)
 
     def plan(spec, kernel, size, threads):
         packed = kernel.needs_pair and spec.family == "bernoulli"

@@ -422,24 +422,38 @@ def test_thread_count_clamped_to_chunks_and_cpus(monkeypatch):
     for cpus, threads, trials, want in (
         (2, 64, 1_200, [2]),
         (8, 64, 1_200, [3]),
-        (None, 64, 1_200, []),
+        (1, 64, 1_200, []),
         (8, 64, 100, []),
     ):
         seen.clear()
-        monkeypatch.setattr(ustat.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(ustat, "_cpus", lambda: cpus)
         # split across min(threads, CPUs) workers, the budget holds 512 trials of 768 B each
-        monkeypatch.setattr(ustat, "_CHUNK_BYTES", min(threads, cpus or 1) * 512 * 768)
+        monkeypatch.setattr(ustat, "_CHUNK_BYTES", min(threads, cpus) * 512 * 768)
         est = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=trials, threads=threads)
         assert seen == want
         if trials == 1_200:
             assert [e.point for e in est] == serial
 
 
+def test_cpus_reads_the_affinity_mask(monkeypatch):
+    # two CPUs on the host but one in the mask: a --threads 2 run gets one worker
+    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ustat.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ustat._cpus() == 1
+    one_trial_chunks = ustat._CHUNK_BYTES
+    assert ustat._chunk_spans(100, 2, one_trial_chunks)[0] == 1
+    monkeypatch.delattr(ustat.os, "sched_getaffinity")
+    assert ustat._cpus() == 2
+    assert ustat._chunk_spans(100, 2, one_trial_chunks)[0] == 2
+    monkeypatch.setattr(ustat.os, "cpu_count", lambda: None)
+    assert ustat._cpus() == 1
+
+
 def test_failed_chunk_stops_the_other_workers(monkeypatch):
     # 100 one-trial chunks on two workers: chunk 1 fails at once while chunk 0
     # takes 0.2 s, and the failing worker takes no further chunk; waiting for
     # chunk 0 before stopping ran about 20 more of 10 ms each
-    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ustat, "_cpus", lambda: 2)
     monkeypatch.setattr(ustat, "_CHUNK_BYTES", 2)
     ran = []
 
@@ -458,7 +472,7 @@ def test_failed_chunk_stops_the_other_workers(monkeypatch):
 def test_shared_chunk_queue_counts_every_chunk_once(monkeypatch):
     # eight workers on 2,000 one-trial chunks, switching threads as often as
     # the interpreter allows: a chunk taken twice or lost changes the total
-    monkeypatch.setattr(ustat.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(ustat, "_cpus", lambda: 8)
     monkeypatch.setattr(ustat, "_CHUNK_BYTES", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -626,7 +640,8 @@ def test_bordered_bounds_bracket_every_subset_before_the_margin():
         m, n = phi.shape
         grams = gram_stack(phi[None])
         subs = np.array(list(subsets(n, k)))
-        lb_smin, ub_smax = ustat._bordered_bounds(grams.reshape(1, n * n), n, subs, m)
+        table = np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+        lb_smin, ub_smax = (b.T for b in ustat._bordered_bounds(table, subs, m, ustat._workspace(len(subs), 1)))
         smin, smax = ustat.gram_extremes(grams[:, subs[:, :, None], subs[:, None, :]], rows=m)
         slack = 64 * np.finfo(np.float64).eps * ub_smax
         assert np.all(ub_smax >= smax - slack)
@@ -639,7 +654,8 @@ def test_subset_reach_covers_every_subset_value(kernel):
     for phi, k in _exact_cases():
         m, n = phi.shape
         subs = np.array(list(subsets(n, k)))
-        reach = ustat._subset_reach(gram_stack(phi[None]), kernel, subs, m)[0]
+        table = np.ascontiguousarray(np.moveaxis(gram_stack(phi[None]), 0, -1))
+        reach = ustat._subset_reach(table, kernel, subs, m, ustat._workspace(len(subs), 1))[:, 0]
         assert np.all(reach >= subset_values(phi, kernel, k))
 
 
@@ -664,6 +680,45 @@ def test_bordered_bound_decomposes_under_one_percent(monkeypatch, kernel):
     spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
     mc_extreme_tail(spec, kernel, 4, [0.5], trials=128)
     assert 0 < sum(seen) < 0.01 * 128 * math.comb(20, 4)
+
+
+def test_bordered_bounds_are_views_into_the_workspace():
+    # no slice allocates a (subsets, matrices) array: both bounds live in the
+    # buffers they are given, and sigma_max_sq's trivial lower bound in none
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 6, 9, base_seed=40), 0, 5))
+    table = np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+    subs = np.array(list(subsets(9, 4)))
+    work = ustat._workspace(len(subs), 5)
+    lb_smin, ub_smax = ustat._bordered_bounds(table, subs, 6, work)
+    assert np.shares_memory(lb_smin, work) and np.shares_memory(ub_smax, work)
+    lb_smin, ub_smax = ustat._bordered_bounds(table, subs, 0, work)
+    assert np.shares_memory(ub_smax, work) and not np.shares_memory(lb_smin, work)
+    assert not lb_smin.any()
+    for kernel in EIGEN_KERNELS:
+        assert np.shares_memory(ustat._subset_reach(table, kernel, subs, 6, work), work)
+
+
+@pytest.mark.parametrize("kernel", [RIC, SIGMA_MAX_SQ], ids=lambda kern: kern.variant)
+def test_greedy_seed_decomposes_under_three_tenths_of_a_percent(monkeypatch, kernel):
+    # 0.23% for ric and 0.21% for sigma_max_sq at seed 7; the best-bound
+    # subset of the first slice as the seed left 0.49%
+    seen = _recorded_matrices(monkeypatch)
+    spec = EnsembleSpec("gaussian", 10, 20, base_seed=7)
+    mc_extreme_tail(spec, kernel, 4, [0.5], trials=128)
+    assert 0 < sum(seen) < 0.003 * 128 * math.comb(20, 4)
+
+
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_greedy_seeds_are_sorted_distinct_k_subsets(kernel):
+    cases = _exact_cases() + [(np.column_stack([phi, phi]), 5) for phi, _ in _exact_cases()[:3]]
+    for phi, k in cases:
+        grams = gram_stack(np.stack([phi, -phi[:, ::-1]]))
+        seeds = ustat._greedy_seeds(grams, kernel, k)
+        assert len(seeds) == (1 if kernel is SIGMA_MAX_SQ else 2)
+        for seed in seeds:
+            assert seed.shape == (2, k) and seed.dtype == np.int64
+            assert np.all(np.diff(seed, axis=1) > 0)
+            assert seed.min() >= 0 and seed.max() < phi.shape[1]
 
 
 def test_pruned_max_memory_on_a_wide_stack():
