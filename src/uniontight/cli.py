@@ -18,16 +18,21 @@ CSVs are deterministic: float cells use 17-significant-digit round-trip
 formatting, counts are exact integers summed over trial chunks sized from one
 byte budget (``ustat._CHUNK_BYTES``), and output is byte-identical across
 runs and thread counts for a fixed configuration.
+
+CSV rows are written as they are made: each CSV runner is a generator that
+checks its configuration and runs its engine before it yields the header, so
+config errors, enumeration refusals and all sampling come before --out is
+opened.  A failure during the write exits non-zero and may leave a partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -228,15 +233,15 @@ def _fmt(value):
     return str(value)
 
 
-def _write(out, text):
-    """Write text to --out -> EXIT_OK, or on failure print one error line -> EXIT_CONFIG."""
+def _write(out, lines):
+    """Write lines to --out -> EXIT_OK, or on failure print one error line -> EXIT_CONFIG."""
     try:
         if out == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(lines)
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                handle.writelines(lines)
     except OSError as exc:
         if out == "-":
             # the interpreter flushes stdout again at exit: send that to devnull
@@ -246,11 +251,11 @@ def _write(out, text):
     return EXIT_OK
 
 
-def _emit_csv(out, header, rows):
-    text = ",".join(header) + "\n" + "".join(
-        ",".join(_fmt(cell) for cell in row) + "\n" for row in rows
-    )
-    return _write(out, text)
+def _emit_csv(out, rows):
+    """Write a runner's header, taken before --out is opened, then each row as it is made."""
+    header = next(rows)
+    lines = (",".join(map(_fmt, row)) + "\n" for row in itertools.chain([header], rows))
+    return _write(out, lines)
 
 
 def _preset(cfg, k):
@@ -289,31 +294,28 @@ def run_fig_extreme(cfg):
         threads=cfg["threads"],
     )
     full_set = overlaps == all_overlaps
-    header = (
+    yield (
         ["a", "empirical_extreme", "empirical_se", "p_hat"]
         + [f"q_hat_{i}" for i in overlaps]
         + ["lambda", "one_minus_exp_neg_lambda", "eps_full", "eps_mid", "eps_single"]
     )
-    rows = []
     # whole columns as Python floats: reading records one by one is slow
     columns = [run.extreme.point, run.extreme.std_err, run.marginal.point]
     columns += [run.joint[i].point for i in overlaps]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for a, point, std_err, p_hat, *q_hats in zip(grid.tolist(), *(c.tolist() for c in columns)):
-            lam = lambda_n(spec.n, k, p_hat)
-            row = [a, point, std_err, p_hat, *q_hats, lam, poisson_nonzero_approx(lam)]
-            if p_hat > 0.0 and full_set:
-                # overlaps infeasible for this n carry zero weight in the eps sums
-                q_full = [0.0] * (k - 1)
-                for pos, i in enumerate(overlaps):
-                    q_full[i - 1] = q_hats[pos]
-                report = poisson_report(spec.n, k, a, p_hat, q_full)
-                row += [report.eps_full, report.eps_mid, report.eps_single]
-            else:
-                row += [None, None, None]
-            rows.append(row)
-    return _emit_csv(cfg["out"], header, rows)
+    # each joint event holds the marginal subset, so no q_hat exceeds p_hat
+    for a, point, std_err, p_hat, *q_hats in zip(grid.tolist(), *(c.tolist() for c in columns)):
+        lam = lambda_n(spec.n, k, p_hat)
+        row = [a, point, std_err, p_hat, *q_hats, lam, poisson_nonzero_approx(lam)]
+        if p_hat > 0.0 and full_set:
+            # overlaps infeasible for this n carry zero weight in the eps sums
+            q_full = [0.0] * (k - 1)
+            for pos, i in enumerate(overlaps):
+                q_full[i - 1] = q_hats[pos]
+            report = poisson_report(spec.n, k, a, p_hat, q_full)
+            row += [report.eps_full, report.eps_mid, report.eps_single]
+        else:
+            row += [None, None, None]
+        yield row
 
 
 def run_fig_rates(cfg):
@@ -326,10 +328,10 @@ def run_fig_rates(cfg):
     grid = np.unique(
         np.concatenate([_grid(cfg), [cfg["a_fixed_min"], cfg["a_fixed_max"]]])
     )
-    header = ["k", "a", "side", "marginal_exponent", "joint_halved_exponent"]
-    rows = []
-    for k in range(cfg["k_min"], cfg["k_max"] + 1):
-        preset = _preset(cfg, k)
+    # every preset is checked before the header, so a bad --beta writes nothing
+    presets = [(k, _preset(cfg, k)) for k in range(cfg["k_min"], cfg["k_max"] + 1)]
+    yield ["k", "a", "side", "marginal_exponent", "joint_halved_exponent"]
+    for k, preset in presets:
         for a in grid:
             for side in ("max", "min"):
                 try:
@@ -340,8 +342,7 @@ def run_fig_rates(cfg):
                     joint = joint_halved_exponent(side, float(a), k, preset, permissive)
                 except ValueError:
                     joint = None
-                rows.append([k, float(a), side, marg, joint])
-    return _emit_csv(cfg["out"], header, rows)
+                yield [k, float(a), side, marg, joint]
 
 
 def run_fig_coherence(cfg):
@@ -353,7 +354,7 @@ def run_fig_coherence(cfg):
     estimates = mc_extreme_tail(
         spec, KernelId("coherence"), 2, grid, cfg["trials"], threads=cfg["threads"]
     )
-    header = [
+    yield [
         "a",
         "empirical_coherence_tail",
         "empirical_se",
@@ -363,15 +364,13 @@ def run_fig_coherence(cfg):
         "eps_term1",
         "eps_term2",
     ]
-    rows = []
     n, m = spec.n, spec.m
     for a, point, std_err in zip(grid.tolist(), estimates.point.tolist(), estimates.std_err.tolist()):
         proxy = coherence_gaussian_proxy(a, m)
         lam = subset_count(n, 2) * proxy
         one_minus = poisson_nonzero_approx(lam)
         term1, term2 = coherence_eps_terms(n, m, a, lam)
-        rows.append([a, point, std_err, proxy, lam, one_minus, term1, term2])
-    return _emit_csv(cfg["out"], header, rows)
+        yield [a, point, std_err, proxy, lam, one_minus, term1, term2]
 
 
 def run_bounds_table(cfg):
@@ -379,52 +378,50 @@ def run_bounds_table(cfg):
     k, m, n = cfg["k"], cfg["m"], cfg["n"]
     preset = _preset(cfg, k)
     permissive = cfg["permissive"]
-    header = ["label", "a", "value", "vacuous"]
-    rows = []
+    yield ["label", "a", "value", "vacuous"]
 
     def curve(label, a, func, probability=True):
         try:
             value = func()
         except ValueError:
             return
-        rows.append([label, a, value, is_vacuous(value) if probability else None])
+        yield [label, a, value, is_vacuous(value) if probability else None]
 
     for a in _grid(cfg):
         a = float(a)
         for side in ("max", "min"):
-            curve(
+            yield from curve(
                 f"marginal_{side}",
                 a,
                 lambda s=side, x=a: marginal_bound(s, x, k, m, preset.tau_p(s), permissive),
             )
-            curve(
+            yield from curve(
                 f"joint_{side}",
                 a,
                 lambda s=side, x=a: joint_bound(s, x, k, m, preset, permissive),
             )
         if 0.0 <= a <= 1.0:
-            curve("coherence_tail_bound", a, lambda x=a: coherence_tail_bound(x, m))
-            curve(
+            yield from curve("coherence_tail_bound", a, lambda x=a: coherence_tail_bound(x, m))
+            yield from curve(
                 "coherence_eps_bound",
                 a,
                 lambda x=a: coherence_eps_bound(
                     n, m, x, subset_count(n, 2) * coherence_gaussian_proxy(x, m)
                 ),
             )
-        curve(
+        yield from curve(
             "rate_condition_satisfied",
             a,
             lambda x=a: float(rate_condition(n, k, m, x, cfg["beta_bar"]).satisfied),
             probability=False,
         )
-    curve("welch_lower_bound", None, lambda: welch_lower_bound(n, m), probability=False)
-    curve("ric_union_bound", None, lambda: ric_union_bound(n, k, m, cfg["eps_const"]))
-    curve(
+    yield from curve("welch_lower_bound", None, lambda: welch_lower_bound(n, m), probability=False)
+    yield from curve("ric_union_bound", None, lambda: ric_union_bound(n, k, m, cfg["eps_const"]))
+    yield from curve(
         "concentration_tail",
         None,
         lambda: concentration_tail(cfg["eps_const"], cfg["ensemble"]),
     )
-    return _emit_csv(cfg["out"], header, rows)
 
 
 def run_check(cfg):
@@ -442,7 +439,7 @@ def run_check(cfg):
         "failures": failures,
         "skipped": skipped,
     }
-    written = _write(cfg["out"], json.dumps(report, indent=2) + "\n")
+    written = _write(cfg["out"], [json.dumps(report, indent=2) + "\n"])
     return written or (EXIT_CHECK_FAILED if failures else EXIT_OK)
 
 
@@ -531,7 +528,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command][0](_merge_config(args))
+        runner, cfg = _COMMANDS[args.command][0], _merge_config(args)
+        return runner(cfg) if runner is run_check else _emit_csv(cfg["out"], runner(cfg))
     except EnumerationInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

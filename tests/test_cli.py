@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -463,9 +465,17 @@ def _assert_one_write_error(proc, out):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", ["fig-extreme", "check"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["fig-extreme"], id="fig-extreme"),
+        pytest.param(["check"], id="check"),
+        # rows are written as they are made, so this write fails after the first buffer flush
+        pytest.param(["fig-extreme", "--a-steps", "20000"], id="fig-extreme-mid-stream"),
+    ],
+)
 def test_full_device_write_exits_with_one_error_line(command):
-    proc = _cli_process([command, "--trials", "10", "--out", "/dev/full"], subprocess.DEVNULL)
+    proc = _cli_process([*command, "--trials", "10", "--out", "/dev/full"], subprocess.DEVNULL)
     _assert_one_write_error(proc, "/dev/full")
 
 
@@ -477,6 +487,71 @@ def test_closed_stdout_exits_with_one_error_line():
     finally:
         os.close(write_end)
     _assert_one_write_error(proc, "-")
+
+
+_CSV_RUNS = [
+    pytest.param(["fig-extreme", "--m", "4", "--n", "7", "--k", "3", "--trials", "100"],
+                 id="fig-extreme"),
+    pytest.param(["fig-rates", "--k-min", "4", "--k-max", "6"], id="fig-rates"),
+    pytest.param(["fig-coherence", "--m", "10", "--n", "20", "--trials", "100"],
+                 id="fig-coherence"),
+    pytest.param(["bounds-table"], id="bounds-table"),
+]
+
+
+@pytest.mark.parametrize("args", _CSV_RUNS)
+def test_stdout_and_file_get_the_same_bytes(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert _run([*args, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert _run([*args, "--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["fig-extreme", "--overlap", "5"], EXIT_CONFIG),
+        (["fig-extreme", "--n", "50", "--k", "8", "--trials", "5"], EXIT_INFEASIBLE),
+        (["fig-rates", "--k-min", "1"], EXIT_CONFIG),
+        # the preset of every k is checked before the header
+        (["fig-rates", "--beta", "0.1"], EXIT_CONFIG),
+        (["fig-coherence", "--a-min", "0"], EXIT_CONFIG),
+        (["bounds-table", "--a-steps", "1"], EXIT_CONFIG),
+    ],
+)
+def test_refused_runs_create_no_out_file(tmp_path, capsys, args, code):
+    out = tmp_path / "never.csv"
+    assert _run([*args, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# n = 6 < 2k - 1 at k = 4: overlap 1 cannot occur and its q is padded with 0
+@pytest.mark.parametrize("n, k", [(8, 2), (8, 3), (8, 4), (6, 4)])
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("kernel", ["sigma_max_sq", "neg_sigma_min_sq"])
+def test_fig_extreme_rows_never_warn(tmp_path, kernel, ensemble, n, k):
+    # each joint event holds the marginal subset on the same trials, so q_hat <= p_hat
+    # and poisson's q_r > p warning cannot fire; any warning here fails the run
+    args = ["fig-extreme", "--kernel", kernel, "--ensemble", ensemble, "--m", "5",
+            "--n", str(n), "--k", str(k), "--trials", "300", "--seed", "11"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([*args, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+
+
+def test_fig_extreme_long_grid_memory_bound(tmp_path):
+    # rows are written as they are made: no grid-sized list of rows or whole-CSV string
+    args = ["fig-extreme", "--m", "5", "--n", "10", "--k", "2", "--trials", "512", "--seed", "7",
+            "--a-steps", "50000", "--out", str(tmp_path / "x.csv")]
+    tracemalloc.start()
+    try:
+        assert _run(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 def test_config_file_and_flag_precedence(tmp_path):
