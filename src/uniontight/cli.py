@@ -4,10 +4,13 @@ Subcommands: ``fig-extreme``, ``fig-rates``, ``fig-coherence``,
 ``bounds-table``, ``check``.  Two tables declare the options: ``_TYPES``
 gives each option's type or choices, and ``_COMMANDS`` gives each
 subcommand its runner and the defaults of the options it reads, and of no
-others.  Option precedence is flags > config file (flat ``key = value``
-lines, keys matching flag names with dashes replaced by underscores, checked
-like the flags) > built-in defaults.  Subcommands that take ``--seed`` read
-its default from the UNIONTIGHT_SEED environment variable when it is set.
+others.  Option precedence is flags > config file > built-in defaults.  A
+config file holds flat ``key = value`` lines, keys being flag names with
+dashes replaced by underscores; each line goes through the same argparse
+options as the flag it names, so one parser checks every value.  Option names
+must be exact on both paths: no abbreviated flag is expanded.  Subcommands
+that take ``--seed`` read the UNIONTIGHT_SEED environment variable only when
+neither ``--seed`` nor the config file sets the seed.
 
 Exit codes: 0 success, 1 invalid configuration or a failed write to --out
 (a full disk, a closed pipe), 2 infeasible enumeration, 3 self-check
@@ -121,25 +124,32 @@ def _finite_float(raw):
     return value
 
 
+def _add_options(parser, options):
+    """Add a flag to ``parser`` for each of ``options``, typed from ``_TYPES``."""
+    for key in options:
+        flag, kind = "--" + key.replace("_", "-"), _TYPES[key]
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None)
+        elif isinstance(kind, tuple):
+            parser.add_argument(flag, choices=kind)
+        else:
+            parser.add_argument(flag, type=_finite_float if kind is float else kind)
+
+
 def build_parser():
-    parser = _Parser(prog="uniontight", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="uniontight", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, defaults) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
-        for key in defaults:
-            flag, kind = "--" + key.replace("_", "-"), _TYPES[key]
-            if kind is bool:
-                p.add_argument(flag, action="store_true", default=None)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, choices=kind)
-            else:
-                p.add_argument(flag, type=_finite_float if kind is float else kind)
+        _add_options(p, defaults)
     return parser
 
 
 def _parse_config_file(path, options):
-    """Values of a flat key=value file, checked like the flags of ``options``."""
+    """Values of a flat key=value file, each line parsed as the flag of ``options`` it names."""
+    parser = _Parser(allow_abbrev=False)
+    _add_options(parser, options)
     values = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -156,19 +166,16 @@ def _parse_config_file(path, options):
         key = key.replace("-", "_")
         if key not in options:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        kind = _TYPES[key]
         try:
-            if kind is bool:
+            if _TYPES[key] is bool:
+                # a switch's flag takes no value, so its line reads true/false or 1/0
                 if raw.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError("expected true/false")
+                    raise ConfigError("expected true/false")
                 values[key] = raw.lower() in ("true", "1")
-            elif isinstance(kind, tuple):
-                if raw not in kind:
-                    raise ValueError(f"expected one of {', '.join(kind)}")
-                values[key] = raw
             else:
-                values[key] = (_finite_float if kind is float else kind)(raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+                flag = "--" + key.replace("_", "-")
+                values[key] = getattr(parser.parse_args([f"{flag}={raw}"]), key)
+        except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
@@ -184,16 +191,13 @@ def _env_seed(default):
 
 
 def _merge_config(args):
+    """Defaults < config file < flags; UNIONTIGHT_SEED only for a seed neither sets."""
     defaults = _COMMANDS[args.command][2]
-    cfg = dict(defaults)
-    if "seed" in cfg:
-        cfg["seed"] = _env_seed(cfg["seed"])
-    if args.config:
-        cfg.update(_parse_config_file(args.config, defaults))
-    for key in defaults:
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
+    given = _parse_config_file(args.config, defaults) if args.config else {}
+    given.update({key: getattr(args, key) for key in defaults if getattr(args, key) is not None})
+    if "seed" in defaults and "seed" not in given:
+        given["seed"] = _env_seed(defaults["seed"])
+    cfg = {**defaults, **given}
     _check_out(cfg["out"])
     return cfg
 
@@ -273,6 +277,14 @@ def _grid(cfg):
     return np.linspace(cfg["a_min"], cfg["a_max"], cfg["a_steps"])
 
 
+def _cell(func, *args):
+    """A closed form's value, or None where it refuses its arguments with a ValueError."""
+    try:
+        return func(*args)
+    except ValueError:
+        return None
+
+
 def run_fig_extreme(cfg):
     kernel = KernelId(cfg["kernel"])
     spec = EnsembleSpec(cfg["ensemble"], cfg["m"], cfg["n"], cfg["seed"])
@@ -332,17 +344,12 @@ def run_fig_rates(cfg):
     presets = [(k, _preset(cfg, k)) for k in range(cfg["k_min"], cfg["k_max"] + 1)]
     yield ["k", "a", "side", "marginal_exponent", "joint_halved_exponent"]
     for k, preset in presets:
-        for a in grid:
+        for a in grid.tolist():
             for side in ("max", "min"):
-                try:
-                    marg = marginal_exponent(side, float(a), k, preset, permissive)
-                except ValueError:
-                    continue
-                try:
-                    joint = joint_halved_exponent(side, float(a), k, preset, permissive)
-                except ValueError:
-                    joint = None
-                yield [k, float(a), side, marg, joint]
+                marg = _cell(marginal_exponent, side, a, k, preset, permissive)
+                if marg is not None:
+                    joint = _cell(joint_halved_exponent, side, a, k, preset, permissive)
+                    yield [k, a, side, marg, joint]
 
 
 def run_fig_coherence(cfg):
@@ -379,49 +386,31 @@ def run_bounds_table(cfg):
     preset = _preset(cfg, k)
     permissive = cfg["permissive"]
     yield ["label", "a", "value", "vacuous"]
-
-    def curve(label, a, func, probability=True):
-        try:
-            value = func()
-        except ValueError:
-            return
-        yield [label, a, value, is_vacuous(value) if probability else None]
-
-    for a in _grid(cfg):
-        a = float(a)
+    # probability bounds get a vacuous flag; rows a closed form refuses are left out
+    for a in _grid(cfg).tolist():
+        bounds = []
         for side in ("max", "min"):
-            yield from curve(
-                f"marginal_{side}",
-                a,
-                lambda s=side, x=a: marginal_bound(s, x, k, m, preset.tau_p(s), permissive),
-            )
-            yield from curve(
-                f"joint_{side}",
-                a,
-                lambda s=side, x=a: joint_bound(s, x, k, m, preset, permissive),
-            )
+            tau = preset.tau_p(side)
+            bounds.append((f"marginal_{side}", _cell(marginal_bound, side, a, k, m, tau, permissive)))
+            bounds.append((f"joint_{side}", _cell(joint_bound, side, a, k, m, preset, permissive)))
         if 0.0 <= a <= 1.0:
-            yield from curve("coherence_tail_bound", a, lambda x=a: coherence_tail_bound(x, m))
-            yield from curve(
-                "coherence_eps_bound",
-                a,
-                lambda x=a: coherence_eps_bound(
-                    n, m, x, subset_count(n, 2) * coherence_gaussian_proxy(x, m)
-                ),
-            )
-        yield from curve(
-            "rate_condition_satisfied",
-            a,
-            lambda x=a: float(rate_condition(n, k, m, x, cfg["beta_bar"]).satisfied),
-            probability=False,
-        )
-    yield from curve("welch_lower_bound", None, lambda: welch_lower_bound(n, m), probability=False)
-    yield from curve("ric_union_bound", None, lambda: ric_union_bound(n, k, m, cfg["eps_const"]))
-    yield from curve(
-        "concentration_tail",
-        None,
-        lambda: concentration_tail(cfg["eps_const"], cfg["ensemble"]),
-    )
+            bounds.append(("coherence_tail_bound", _cell(coherence_tail_bound, a, m)))
+            proxy = _cell(coherence_gaussian_proxy, a, m)
+            if proxy is not None:
+                lam = subset_count(n, 2) * proxy
+                bounds.append(("coherence_eps_bound", _cell(coherence_eps_bound, n, m, a, lam)))
+        yield from ([label, a, value, is_vacuous(value)] for label, value in bounds if value is not None)
+        rate = _cell(rate_condition, n, k, m, a, cfg["beta_bar"])
+        if rate is not None:
+            yield ["rate_condition_satisfied", a, float(rate.satisfied), None]
+    welch = _cell(welch_lower_bound, n, m)
+    if welch is not None:
+        yield ["welch_lower_bound", None, welch, None]
+    bounds = [
+        ("ric_union_bound", _cell(ric_union_bound, n, k, m, cfg["eps_const"])),
+        ("concentration_tail", _cell(concentration_tail, cfg["eps_const"], cfg["ensemble"])),
+    ]
+    yield from ([label, None, value, is_vacuous(value)] for label, value in bounds if value is not None)
 
 
 def run_check(cfg):

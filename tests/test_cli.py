@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from uniontight.cli import (
     EXIT_MEMORY,
     EXIT_OK,
     SEED_ENV_VAR,
+    _merge_config,
     _parse_config_file,
     build_parser,
     main,
@@ -619,6 +621,11 @@ _REMOVED_FLAGS = [
     *(("check", flag) for flag in
       ("--ensemble", "--m", "--n", "--k", "--a-min", "--a-max", "--a-steps",
        "--overlap", "--threads", "--permissive")),
+    # a prefix of a flag the subcommand reads is not expanded to it
+    ("fig-extreme", "--tri"),
+    ("check", "--tri"),
+    ("bounds-table", "--eps"),
+    ("fig-coherence", "--thr"),
 ]
 
 
@@ -645,6 +652,40 @@ def test_parser_options_equal_config_keys(tmp_path):
             except ValueError as exc:
                 assert "unknown option" in str(exc)
         assert accepted == _parser_options(command), command
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_flag_and_config_key_accept_and_refuse_the_same_values(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    samples = {int: ("3", "x"), float: ("0.5", "inf"), bool: ("true", "maybe"),
+               str: (str(tmp_path / "x.csv"), str(tmp_path / "missing" / "x.csv"))}
+    cfg = tmp_path / "one.cfg"
+    for key in _COMMANDS[command][2]:
+        kind, flag = _TYPES[key], "--" + key.replace("_", "-")
+        valid, invalid = (kind[0], "bogus") if isinstance(kind, tuple) else samples[kind]
+        for value, flag_args in ((valid, [flag] if kind is bool else [f"{flag}={valid}"]),
+                                 (invalid, [f"{flag}={invalid}"])):
+            cfg.write_text(f"{key} = {value}\n")
+            from_config = [command, "--config", str(cfg)]
+            if value is valid:
+                merged = _merge_config(build_parser().parse_args(from_config))
+                assert merged == _merge_config(build_parser().parse_args([command, *flag_args])), key
+                assert merged[key] == {bool: True, int: 3, float: 0.5}.get(kind, valid), key
+            else:
+                assert _run(from_config) == EXIT_CONFIG, key
+                assert _run([command, *flag_args]) == EXIT_CONFIG, key
+                assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## CLI\n.*?^```sh\n(.*?)^```$", readme, re.M | re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("uniontight ")]
+    assert {argv[1] for argv in commands} == set(_COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert _run(argv[1:]) == EXIT_OK, argv
 
 
 def test_readme_lists_each_subcommand_options():
@@ -686,6 +727,22 @@ def test_seed_env_var_used_as_default(tmp_path, monkeypatch):
     assert out_env.read_bytes() == out_flag.read_bytes()
     monkeypatch.setenv(SEED_ENV_VAR, "not-an-int")
     assert _run(args + ["--out", str(out_env)]) == EXIT_CONFIG
+
+
+def test_seed_flag_or_config_file_wins_over_a_bad_seed_env_var(tmp_path, monkeypatch):
+    args = ["fig-extreme", "--n", "6", "--trials", "80", "--a-min", "1.0",
+            "--a-max", "3.0", "--a-steps", "4"]
+    unset, flag, file = (tmp_path / f"{name}.csv" for name in ("unset", "flag", "file"))
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert _run(args + ["--seed", "77", "--out", str(unset)]) == EXIT_OK
+    monkeypatch.setenv(SEED_ENV_VAR, "not-an-int")
+    assert _run(args + ["--seed", "77", "--out", str(flag)]) == EXIT_OK
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 77\n")
+    assert _run(args + ["--config", str(cfg), "--out", str(file)]) == EXIT_OK
+    assert flag.read_bytes() == unset.read_bytes() == file.read_bytes()
+    # with no seed given the variable is read, and refused
+    assert _run(args + ["--out", str(tmp_path / "none.csv")]) == EXIT_CONFIG
 
 
 def test_stdout_output(capsys):
