@@ -69,6 +69,7 @@ from .ustat import (
 )
 
 SEED_ENV_VAR = "UNIONTIGHT_SEED"
+_ROW_BLOCK = 4096  # grid points whose cells are converted to Python floats at once
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -277,6 +278,12 @@ def _grid(cfg):
     return np.linspace(cfg["a_min"], cfg["a_max"], cfg["a_steps"])
 
 
+def _rows(*columns):
+    """The rows of equal-length grid columns as Python scalars, converted _ROW_BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from zip(*(column[start : start + _ROW_BLOCK].tolist() for column in columns))
+
+
 def _cell(func, *args):
     """A closed form's value, or None where it refuses its arguments with a ValueError."""
     try:
@@ -311,11 +318,11 @@ def run_fig_extreme(cfg):
         + [f"q_hat_{i}" for i in overlaps]
         + ["lambda", "one_minus_exp_neg_lambda", "eps_full", "eps_mid", "eps_single"]
     )
-    # whole columns as Python floats: reading records one by one is slow
-    columns = [run.extreme.point, run.extreme.std_err, run.marginal.point]
+    # blocks of whole columns as Python floats: reading records one by one is slow
+    columns = [grid, run.extreme.point, run.extreme.std_err, run.marginal.point]
     columns += [run.joint[i].point for i in overlaps]
     # each joint event holds the marginal subset, so no q_hat exceeds p_hat
-    for a, point, std_err, p_hat, *q_hats in zip(grid.tolist(), *(c.tolist() for c in columns)):
+    for a, point, std_err, p_hat, *q_hats in _rows(*columns):
         lam = lambda_n(spec.n, k, p_hat)
         row = [a, point, std_err, p_hat, *q_hats, lam, poisson_nonzero_approx(lam)]
         if p_hat > 0.0 and full_set:
@@ -344,7 +351,7 @@ def run_fig_rates(cfg):
     presets = [(k, _preset(cfg, k)) for k in range(cfg["k_min"], cfg["k_max"] + 1)]
     yield ["k", "a", "side", "marginal_exponent", "joint_halved_exponent"]
     for k, preset in presets:
-        for a in grid.tolist():
+        for (a,) in _rows(grid):
             for side in ("max", "min"):
                 marg = _cell(marginal_exponent, side, a, k, preset, permissive)
                 if marg is not None:
@@ -372,7 +379,7 @@ def run_fig_coherence(cfg):
         "eps_term2",
     ]
     n, m = spec.n, spec.m
-    for a, point, std_err in zip(grid.tolist(), estimates.point.tolist(), estimates.std_err.tolist()):
+    for a, point, std_err in _rows(grid, estimates.point, estimates.std_err):
         proxy = coherence_gaussian_proxy(a, m)
         lam = subset_count(n, 2) * proxy
         one_minus = poisson_nonzero_approx(lam)
@@ -387,7 +394,7 @@ def run_bounds_table(cfg):
     permissive = cfg["permissive"]
     yield ["label", "a", "value", "vacuous"]
     # probability bounds get a vacuous flag; rows a closed form refuses are left out
-    for a in _grid(cfg).tolist():
+    for (a,) in _rows(_grid(cfg)):
         bounds = []
         for side in ("max", "min"):
             tau = preset.tau_p(side)

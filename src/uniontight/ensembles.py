@@ -17,12 +17,15 @@ the same raw word.
 Trial t's raw words are those of ``Philox(key=[base_seed, t]).random_raw(m*n)``,
 bit for bit, but no generator is built per trial.  Up to
 ``_VECTOR_WORDS_MAX`` words per trial (m*n, measured crossover) the
-Philox4x64-10 rounds run on uint64 arrays over (trials, 4-word blocks), the
+Philox4x64-10 rounds run on uint64 arrays over (4-word blocks, trials), the
 first block at counter 1 because numpy advances the counter before it
-generates.  The rounds run in place (ufunc ``out=``) on nine such arrays
-allocated once per call, so no round allocates.  Above the crossover, one
+generates.  The rounds run in place (ufunc ``out=``) on nine such arrays, the
+rows of one buffer, so no round allocates.  Above the crossover, one
 generator per ``sample_batch`` call is reseated to each trial's key through
-its ``state`` setter.
+its ``state`` setter.  ``sample_batch(..., out=buffer)`` runs every step in a
+caller's buffer, the uniform, ``ndtri`` and scale steps (or the sign steps)
+over the raw words' own memory, and leaves the entries at its start with the
+trial last, so a caller that reuses the buffer allocates nothing per call.
 
 ``sample_batch(..., packed=True)`` returns a Bernoulli batch as its sign bits
 instead: each column's m top bits packed into ceil(m/64) uint64 words, from
@@ -131,21 +134,29 @@ def _mulhi(mul, x, hi, s0, s1, s2):
     hi += v
 
 
-def _philox_words(base_seed, first, count, size):
-    """Raw words of trials [first, first + count), computed on all trials at once.
+def _philox_words(base_seed, first, count, size, state=None):
+    """Raw words of trials [first, first + count), computed on all trials at once: (count, size).
 
     Trial t's stream is keyed (base_seed, t) and its j-th 4-word block is
     Philox4x64-10 of the counter (j + 1, 0, 0, 0): numpy advances the counter
     before it generates, so a fresh generator's first block is counter 1.
-    The rounds run in place on nine (count, blocks) arrays allocated once: the
-    four state words, the two high words and three scratch arrays.
+    The rounds run in place on the nine (blocks, count) rows of ``state``, a
+    uint64 buffer of at least 9 * blocks * count words (allocated when None),
+    with the trial last: the two high words and three scratch arrays, then the
+    four state words.  An even number of rounds leaves the state words in the
+    last four rows, so the words are stacked trial-last into the first four,
+    dead by then, and returned as the transposed view of those (size, count)
+    words.
     """
-    shape = (count, -(-size // 4))
-    x0 = np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape).copy()
-    x1, x2, x3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
-    hi0, hi1, *scratch = (np.empty(shape, dtype=np.uint64) for _ in range(5))
+    blocks = -(-size // 4)
+    if state is None:
+        state = np.empty(9 * blocks * count, dtype=np.uint64)
+    hi0, hi1, *scratch, x1, x3, x0, x2 = state[: 9 * blocks * count].reshape(9, blocks, count)
+    x0[...] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    for word in (x1, x2, x3):
+        word.fill(0)
     k0 = np.uint64(base_seed)
-    k1 = (np.uint64(first) + np.arange(count, dtype=np.uint64))[:, None]
+    k1 = np.uint64(first) + np.arange(count, dtype=np.uint64)
     mul0, mul1 = (np.uint64(mul) for mul in _PHILOX_MUL)
     with np.errstate(over="ignore"):
         for r in range(_PHILOX_ROUNDS):
@@ -162,17 +173,19 @@ def _philox_words(base_seed, first, count, size):
             np.multiply(x0, mul0, out=x3)
             # the new x0 and x2 are the high words; the old ones take their place
             x0, x2, hi0, hi1 = hi1, hi0, x0, x2
-    del hi0, hi1, scratch  # so that the output is not allocated beside them
-    return np.stack((x0, x1, x2, x3), axis=2).reshape(count, 4 * shape[1])[:, :size]
+    words = state[: 4 * blocks * count].reshape(blocks, 4, count)
+    np.stack((x0, x1, x2, x3), axis=1, out=words)
+    return words.reshape(4 * blocks, count)[:size].T
 
 
-def _reseated_words(base_seed, first, count, size):
-    """Raw words of trials [first, first + count) from one reseated generator."""
+def _reseated_words(base_seed, first, count, size, raws=None):
+    """Raw words of trials [first, first + count) from one reseated generator, into ``raws`` (count, size) when given."""
     key = np.array([base_seed, 0], dtype=np.uint64)
     bitgen = Philox(key=key)
     state = bitgen.state  # fresh: counter 0, buffer_pos 4; the setter copies key
     state["state"]["key"] = key
-    raws = np.empty((count, size), dtype=np.uint64)
+    if raws is None:
+        raws = np.empty((count, size), dtype=np.uint64)
     for i in range(count):
         key[1] = first + i
         bitgen.state = state
@@ -180,14 +193,27 @@ def _reseated_words(base_seed, first, count, size):
     return raws
 
 
-def _gaussian_from_raw(raw):
-    # 53-bit uniform strictly inside (0, 1), then inverse normal CDF
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+def _gaussian_from_raw(raw, out=None):
+    """ndtri of the 53-bit uniforms ((raw >> 11) + 0.5) 2^-53, strictly inside (0, 1).
+
+    Without ``out`` each step makes a new array and raw is left as it is;
+    with it, raw's own memory viewed as float64, every step is worked there.
+    """
+    if out is None:
+        return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    np.right_shift(raw, np.uint64(11), out=raw)
+    np.add(raw, 0.5, out=out)
+    out *= 2.0**-53
+    return ndtri(out, out=out)
 
 
-def _signs_from_raw(raw):
-    return 1.0 - 2.0 * (raw >> _SHIFT63).astype(np.float64)
+def _signs_from_raw(raw, out=None):
+    """1 - 2 (raw >> 63): each raw word's top bit as a sign, worked in ``out`` as ``_gaussian_from_raw`` is."""
+    if out is None:
+        return 1.0 - 2.0 * (raw >> _SHIFT63).astype(np.float64)
+    np.right_shift(raw, _SHIFT63, out=raw)
+    np.multiply(raw, 2.0, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
@@ -197,13 +223,29 @@ def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
     return MatrixSample(sample_batch(spec, trial_index, trial_index + 1)[0], spec, trial_index)
 
 
-def _raw_words(base_seed, first, count, size):
-    """Raw words of trials [first, first + count), (count, size), by the faster path."""
+def sample_words(spec: EnsembleSpec) -> int:
+    """Words one trial takes in the ``out`` buffer of ``sample_batch``.
+
+    Nine per 4-word Philox block up to ``_VECTOR_WORDS_MAX`` words a trial,
+    the state of the vectorized rounds; above it, the trial's m * n words.
+    """
+    size = spec.m * spec.n
+    return 9 * -(-size // 4) if size <= _VECTOR_WORDS_MAX else size
+
+
+def _raw_words(base_seed, first, count, size, out=None):
+    """Raw words of trials [first, first + count), (count, size), by the faster path.
+
+    With ``out``, a uint64 buffer of at least count * ``sample_words`` words,
+    every step runs in it and the words land trial-last at its start: the
+    result is the transposed view of those (size, count) words.
+    """
     if count == 0:
         return np.empty((0, size), dtype=np.uint64)
     if size <= _VECTOR_WORDS_MAX:
-        return _philox_words(base_seed, first, count, size)
-    return _reseated_words(base_seed, first, count, size)
+        return _philox_words(base_seed, first, count, size, out)
+    raws = None if out is None else out[: size * count].reshape(size, count).T
+    return _reseated_words(base_seed, first, count, size, raws)
 
 
 def _packed_signs(spec, start, count):
@@ -225,7 +267,7 @@ def _packed_signs(spec, start, count):
     return words
 
 
-def sample_batch(spec: EnsembleSpec, start: int, stop: int, packed: bool = False) -> np.ndarray:
+def sample_batch(spec: EnsembleSpec, start: int, stop: int, packed: bool = False, out=None) -> np.ndarray:
     """Stack of matrices for trial indices [start, stop); shape (stop-start, m, n).
 
     Trial t's entries come from the words of
@@ -240,6 +282,12 @@ def sample_batch(spec: EnsembleSpec, start: int, stop: int, packed: bool = False
     bits instead, a (stop-start, n, ceil(m/64)) uint64 array: bit i % 64 of
     word i // 64 of column j is 1 exactly when entry (i, j) is -1/sqrt(m).
     At most ``_WORD_TILE_BYTES`` of raw words are held at once.
+
+    ``out``, a float64 buffer of at least (stop-start) * ``sample_words(spec)``
+    words, takes every step of the draw, and the entries are a view of its
+    start with the trial last: the (stop-start, m, n) result is the axis-0
+    view of (m, n, stop-start) contiguous floats, which stay valid until the
+    buffer is reused.  Without it the stack is a new contiguous array.
     """
     if not 0 <= start <= stop <= _U64_MAX + 1:
         raise ValueError("need 0 <= start <= stop <= 2**64")
@@ -248,12 +296,14 @@ def sample_batch(spec: EnsembleSpec, start: int, stop: int, packed: bool = False
         if spec.family != "bernoulli":
             raise ValueError(f"packed signs need a Bernoulli spec, got {spec.family!r}")
         return _packed_signs(spec, start, count)
-    raws = _raw_words(spec.base_seed, start, count, spec.m * spec.n)
+    transform = _gaussian_from_raw if spec.family == "gaussian" else _signs_from_raw
     scale = entry_scale(spec.m)
-    if spec.family == "gaussian":
-        entries = _gaussian_from_raw(raws) * scale
-    else:
-        entries = _signs_from_raw(raws) * scale
+    if out is None:
+        entries = transform(_raw_words(spec.base_seed, start, count, spec.m * spec.n)) * scale
+        return np.ascontiguousarray(entries.reshape(count, spec.m, spec.n))
+    raws = _raw_words(spec.base_seed, start, count, spec.m * spec.n, out.view(np.uint64))
+    entries = transform(raws, raws.view(np.float64))
+    entries *= scale
     return entries.reshape(count, spec.m, spec.n)
 
 

@@ -6,12 +6,21 @@ submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A
 "Packed signs" below):
 ``gram_stack`` builds one n x n Gram per matrix, the eigen kernels take the
 extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``; at k = 2
-the closed form ``pair_extremes``), and ``pair_values`` reads every column
-pair one way, G_ii, G_jj and G_ij straight from whole Grams, for the coherence
-|G_ij| / sqrt(G_ii G_jj) and for the eigen kernels.  The max of the coherence
-over all pairs (``gram_mutual_coherence``) is read from tiles of whole Grams,
-with no pair gathered.  The single-submatrix functions are thin wrappers over
-the same primitives.
+the closed form ``pair_extremes``), and every column pair is read one way,
+from G_ii, G_jj and G_ij alone (``_pair_kernel``): the coherence
+|G_ij| / sqrt(G_ii G_jj) and the eigen kernels' closed form, worked in place.
+``pair_values`` reads listed pairs of whole Grams, and ``gram_pair_max`` the
+max over every pair (or, at k = 1, column) of whole Grams, from index tiles.
+The single-submatrix functions are thin wrappers over the same primitives.
+
+Pairs without a Gram: the Monte-Carlo engine reads a Gaussian chunk's max at
+k <= 2 with ``pair_max``, from its entries with the trial last.  Each entry
+G_ij sums the row products in row order, as ``gram_stack`` does, so its bits
+are those of the full Gram's, whichever columns are built beside it.  A chunk
+of many trials gets the pair-only Gram table: the diagonal (n, B) and every
+pair i < j as an (n(n-1)/2, B) row, read in place over long contiguous trial
+rows.  A chunk of few, wide trials is read a trial at a time, a tile of
+column blocks under ``_PAIR_TILE_BYTES`` at a time.
 
 Four variants are supported:
 
@@ -47,6 +56,8 @@ expanded to float was slower there.  Matrices passed in by callers
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +89,7 @@ COHERENCE = KernelId("coherence")
 
 _FIRST_PAIR = np.array([[0, 1]])
 _GRAM_TILE_BYTES = 1 << 18  # Gaussian Grams are summed a cache-sized tile at a time
+_PAIR_TILE_BYTES = 1 << 18  # a tile of pair entries read at once from whole Grams or a wide trial
 
 
 def _checked(a_sub):
@@ -119,6 +131,20 @@ def gram_stack(mats: np.ndarray) -> np.ndarray:
         for row in rows[1:]:
             tile += np.multiply(row[:, :, None], row[:, None, :], out=part)
     return grams
+
+
+def trial_last_grams(entries: np.ndarray) -> np.ndarray:
+    """Gram matrices of a trial-last stack (m, c, B) of non-lattice floats -> (B, c, c), a view of (c, c, B) memory.
+
+    The row outer products are summed in row order 0..m-1, as ``gram_stack``
+    sums them, so every entry has the same bits; with the trial last, each
+    multiply runs over whole rows of trials.
+    """
+    grams = np.multiply(entries[0][:, None], entries[0][None, :])
+    part = np.empty_like(grams)
+    for row in entries[1:]:
+        grams += np.multiply(row[:, None], row[None, :], out=part)
+    return np.moveaxis(grams, -1, 0)
 
 
 def gram_extremes(grams: np.ndarray, rows=None):
@@ -166,57 +192,185 @@ def pair_extremes(gii, gjj, gij):
     return np.maximum(smin, 0.0, out=smin), np.maximum(smax, 0.0, out=smax)
 
 
+def _pair_kernel(kernel: KernelId, gii, gjj, gij, rows=None):
+    """Kernel values of column pairs from their Gram entries, worked in place.
+
+    gii, gjj and gij: distinct float64 arrays of one shape, all overwritten;
+    the values come back in one of them.  The coherence |G_ij| / sqrt(G_ii
+    G_jj) is left unclipped.  The eigen kernels take ``pair_extremes`` and
+    then the steps of ``spectral_value``; at a row count ``rows`` (m) below
+    2, sigma2_min is exactly +0.0, as ``gram_extremes(rows=1)`` has it.
+    """
+    if kernel.needs_pair:
+        values = np.abs(gij, out=gij)
+        values /= np.sqrt(np.multiply(gii, gjj, out=gii), out=gii)
+        return values
+    smin, smax = pair_extremes(gii, gjj, gij)
+    if rows is not None and rows < 2:
+        smin[...] = 0.0
+    if kernel.variant == "sigma_max_sq":
+        return smax
+    if kernel.variant == "neg_sigma_min_sq":
+        return np.negative(smin, out=smin)
+    np.subtract(smax, 1.0, out=smax)
+    np.subtract(1.0, smin, out=smin)
+    return np.maximum(smax, smin, out=smax)
+
+
+def _check_pair_kernel(kernel: KernelId, k, diag):
+    if kernel.needs_pair:
+        if k != 2:
+            raise ValueError("coherence kernel requires k = 2")
+        if not diag.all():
+            raise ValueError("degenerate input: coherence kernel needs nonzero columns")
+
+
 def pair_values(grams: np.ndarray, kernel: KernelId, pairs: np.ndarray, rows=None) -> np.ndarray:
     """Kernel values of listed column pairs, read from G_ii, G_jj and G_ij of whole Grams.
 
     grams: (B, n, n) from gram_stack; pairs: (P, 2) int array -> (B, P).
-    Memory is O(B (n^2 + P)); no 2 x 2 block is gathered.  The coherence is
-    |G_ij| / sqrt(G_ii G_jj), clipped at 1.  The eigen kernels take
-    ``pair_extremes`` in place; at a row count ``rows`` (m) below 2,
-    sigma2_min is exactly +0.0, as ``gram_extremes(rows=1)`` has it.
+    Memory is O(B (n^2 + P)); no 2 x 2 block is gathered.  The values are
+    those of ``_pair_kernel``, the coherence clipped at 1.
     """
     diag = np.diagonal(grams, axis1=-2, axis2=-1)
-    if kernel.needs_pair:
-        if pairs.shape[1] != 2:
-            raise ValueError("coherence kernel requires k = 2")
-        if np.any(diag == 0.0):
-            raise ValueError("degenerate input: coherence kernel needs nonzero columns")
-        i, j = pairs[:, 0], pairs[:, 1]
-        values = np.abs(grams[:, i, j])
-        norms = diag[:, i] * diag[:, j]
-        values /= np.sqrt(norms, out=norms)
-        return np.minimum(values, 1.0, out=values)
+    _check_pair_kernel(kernel, pairs.shape[1], diag)
     i, j = pairs[:, 0], pairs[:, 1]
-    smin, smax = pair_extremes(diag[:, i], diag[:, j], grams[:, i, j])
-    if rows is not None and rows < 2:
-        smin[:] = 0.0
-    return spectral_value(kernel, smin, smax)
+    values = _pair_kernel(kernel, diag[:, i], diag[:, j], grams[:, i, j], rows)
+    return np.minimum(values, 1.0, out=values) if kernel.needs_pair else values
 
 
-def gram_mutual_coherence(grams: np.ndarray) -> np.ndarray:
-    """Coherence max over all column pairs of each Gram, clipped at 1; shape (B,).
+def _upper(op, x, out):
+    """out <- op(x[i], x[j]) for every pair i < j of the rows of x, in enumeration order; returns out."""
+    at, n = 0, len(x)
+    for i in range(n - 1):
+        op(x[i], x[i + 1 :], out=out[at : at + n - 1 - i])
+        at += n - 1 - i
+    return out
 
-    Bit for bit pair_values(grams, COHERENCE, pairs).max(axis=1) over all
-    pairs i < j of the exactly symmetric Grams of gram_stack.  No pair is
-    gathered: a tile of _GRAM_TILE_BYTES of Grams at a time is normalized
-    whole, with the same floats, its diagonal zeroed and its max taken.
+
+def pair_words(m, n, k, table):
+    """Words a trial takes in the ``out`` buffer of ``pair_max``, beyond its m n entries, which it also overwrites.
+
+    The diagonal and a scratch row per column; with ``table`` (k = 2) the
+    n(n-1)/2 pair rows as well, a scratch of as many rows, and a second
+    one, which sits in the entries when they hold as many words.
+    """
+    if k == 1 or not table:
+        return 2 * n
+    pairs = n * (n - 1) // 2
+    return n + pairs + max(pairs, n) + (pairs if pairs > m * n else 0)
+
+
+def pair_max(entries: np.ndarray, kernel: KernelId, k, rows, out: np.ndarray, table: bool) -> np.ndarray:
+    """Per-trial max kernel value over all column pairs (k = 2) or columns (k = 1) -> (B,), with no n x n Gram.
+
+    entries: (m, n, B) contiguous floats, the trial last, overwritten; out:
+    a float64 buffer of at least B * ``pair_words(m, n, k, table)`` words.
+    Each Gram entry sums the row products in row order 0..m-1, as
+    ``gram_stack`` does, so its bits are those of the full Gram's entry.
+
+    The diagonal G_ii is an (n, B) table.  With ``table``, the pair-only
+    Gram table holds every G_ij, i < j, as an (n(n-1)/2, B) row in
+    enumeration order, built a row of the matrices at a time by one multiply
+    per column i over the columns after it.  ``_pair_kernel`` then runs
+    once over the whole table, G_ii and G_jj gathered beside it, and the max
+    is taken over its rows: every call works on long contiguous trial rows,
+    which pays when a chunk holds many trials.  Without it, each trial is
+    read a tile of column blocks at a time (``_tiled_max``), which pays when
+    a chunk holds few, wide trials.  The values are bit for bit those of
+    ``pair_values`` over every pair (k = 2) or of ``gram_extremes`` over
+    every column (k = 1).
+    """
+    m, n, count = entries.shape
+    pairs = n * (n - 1) // 2 if k == 2 and table else 0
+    diag = out[: n * count].reshape(n, count)
+    gij = out[n * count :][: pairs * count].reshape(pairs, count)
+    work = out[(n + pairs) * count :][: max(pairs, n) * count]
+    gjj, part = work[: pairs * count].reshape(pairs, count), work[: n * count].reshape(n, count)
+    if pairs:
+        _upper(np.multiply, entries[0], gij)
+        for row in entries[1:]:
+            gij += _upper(np.multiply, row, gjj)
+    np.multiply(entries[0], entries[0], out=diag)
+    for row in entries[1:]:
+        diag += np.multiply(row, row, out=part)
+    _check_pair_kernel(kernel, k, diag)
+    if k == 1:
+        values = np.maximum(diag, 0.0, out=diag)  # gram_extremes at k = 1
+        return spectral_value(kernel, values, values).max(axis=0)
+    if not pairs:
+        # a trial at a time: with the trial last, a tile's rows would be a few trials long
+        buffers = np.empty((3, min(n, math.isqrt(_PAIR_TILE_BYTES // 8)) ** 2))
+        top = np.array([_tiled_max(kernel, entries[:, :, t], diag[:, t], rows, buffers) for t in range(count)])
+        return _clip_coherence(kernel, top)
+    # the entries are dead once the table is built: the second scratch sits there when it fits
+    spare = entries.reshape(-1) if entries.size >= gij.size else out[(n + pairs + max(pairs, n)) * count :]
+    gii = spare[: gij.size].reshape(gij.shape)
+    i, j = np.triu_indices(n, 1)
+    # every index is in range by construction; take's default mode="raise"
+    # would fill a temporary of the output's size and copy it into out
+    np.take(diag, i, axis=0, out=gii, mode="clip")
+    np.take(diag, j, axis=0, out=gjj, mode="clip")
+    return _clip_coherence(kernel, _pair_kernel(kernel, gii, gjj, gij, rows).max(axis=0))
+
+
+def _clip_coherence(kernel: KernelId, top):
+    """The max clipped at 1 for the coherence, whose values are clipped at 1 one by one."""
+    return np.minimum(top, 1.0, out=top) if kernel.needs_pair else top
+
+
+def _tiled_max(kernel: KernelId, mats, diag, rows, buffers):
+    """Max kernel value over all pairs i < j of one matrix (m, n), coherence unclipped, a tile of its Gram at a time.
+
+    diag: (n,) its G_ii.  The tiles walk column-block pairs I <= J of up to
+    _PAIR_TILE_BYTES each, in three flat buffers of that size; each tile sums
+    the row products in row order, and its pairs j <= i, on a diagonal tile,
+    are set to -inf before its max.
+    """
+    n, step = len(diag), math.isqrt(buffers.shape[1])
+    top = -np.inf
+    for lo in range(0, n - 1, step):
+        rows_i = slice(lo, min(lo + step, n))
+        for start in range(lo, n, step):
+            cols_j = slice(start, min(start + step, n))
+            shape = (rows_i.stop - lo, cols_j.stop - start)
+            gij, gii, gjj = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in buffers)
+            np.multiply(mats[0, rows_i, None], mats[0, None, cols_j], out=gij)
+            for row in mats[1:]:
+                gij += np.multiply(row[rows_i, None], row[None, cols_j], out=gii)
+            np.copyto(gii, diag[rows_i, None])
+            np.copyto(gjj, diag[None, cols_j])
+            values = _pair_kernel(kernel, gii, gjj, gij, rows)
+            if start == lo:
+                np.copyto(values, -np.inf, where=np.tri(shape[0], dtype=bool))
+            top = np.maximum(top, values.max())
+    return top
+
+
+def gram_pair_max(grams: np.ndarray, kernel: KernelId, k, rows=None) -> np.ndarray:
+    """Per-matrix max kernel value over all column pairs (k = 2) or columns (k = 1) of whole Grams -> (B,).
+
+    grams: (B, n, n) from gram_stack.  The pairs are read by ``pair_values``
+    in enumeration order, _PAIR_TILE_BYTES of each of its three gathered
+    (matrices, pairs) arrays at a time, from index arrays, not from a
+    subset stream.  Bit for bit the max of ``pair_values`` over every pair
+    i < j, or of ``gram_extremes`` over every column.
     """
     count, n = grams.shape[0], grams.shape[-1]
     diag = np.diagonal(grams, axis1=-2, axis2=-1)
-    if np.any(diag == 0.0):
-        raise ValueError("degenerate input: coherence kernel needs nonzero columns")
-    top = np.empty(count)
-    step = max(1, _GRAM_TILE_BYTES // (n * n * 8))
-    values, norms = np.empty((2, min(step, count), n, n))
-    for start in range(0, count, step):
-        tile, d = grams[start : start + step], diag[start : start + step]
-        part = np.abs(tile, out=values[: len(tile)])
-        norm = np.multiply(d[:, :, None], d[:, None, :], out=norms[: len(tile)])
-        part /= np.sqrt(norm, out=norm)
-        flat = part.reshape(len(tile), n * n)
-        flat[:, :: n + 1] = 0.0
-        flat.max(axis=1, out=top[start : start + step])
-    return np.minimum(top, 1.0, out=top)
+    _check_pair_kernel(kernel, k, diag)
+    if k == 1:
+        values = np.maximum(diag, 0.0)  # gram_extremes at k = 1
+        return spectral_value(kernel, values, values).max(axis=1)
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    step = max(1, _PAIR_TILE_BYTES // (8 * count))
+    parts = (pair_values(grams, kernel, pairs[lo : lo + step], rows).max(axis=1) for lo in range(0, len(pairs), step))
+    return functools.reduce(np.maximum, parts)
+
+
+def gram_mutual_coherence(grams: np.ndarray) -> np.ndarray:
+    """Coherence max over all column pairs of each Gram, clipped at 1; shape (B,): ``gram_pair_max`` at k = 2."""
+    return gram_pair_max(grams, COHERENCE, 2)
 
 
 def _distances(diff):

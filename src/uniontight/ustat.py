@@ -11,15 +11,19 @@ Kernels are evaluated Gram-first: each matrix gets one Gram
 every subset is enumerated, and every subset's value is read from it: a
 pair as G_ii, G_jj and G_ij (``kernels.pair_values``), for every kernel, and
 a k x k block for the eigen kernels at k != 2 and for the engine's fixed
-eigen subsets.  The coherence max over all pairs is read from whole Grams
-(``kernels.gram_mutual_coherence``), and no pair list is built for it.  For
-+-1/sqrt(m) matrices the Gram is the exact lattice one, so values sit
+eigen subsets.  The max over every pair or column of whole Grams is read by
+``kernels.gram_pair_max``, from index tiles rather than a subset stream.
+For +-1/sqrt(m) matrices the Gram is the exact lattice one, so values sit
 exactly on j/m and ties at a = j/m resolve as 0.  The engine reads
 Bernoulli coherence with no Gram at all: one packed ``sample_batch`` call per
 chunk gives each column's sign bits, and both the max over all pairs and the
 fixed pairs come from XOR and popcount of those words
 (``kernels.packed_mutual_coherence``, ``kernels.packed_coherence``), the same
-floats as the lattice Gram.
+floats as the lattice Gram.  Gaussian chunks at k <= 2 build no n x n Gram
+either: each is drawn trial-last into its worker's arena, the fixed subsets
+get a Gram over their own <= 2k columns (``kernels.trial_last_grams``,
+bit-equal to the full Gram's entries), and the max over every pair or column is read from the diagonal and
+a pair-only table (``kernels.pair_max``).
 
 The four Monte-Carlo estimators are selections of one count engine
 (``_tail_counts``): per trial it evaluates a few fixed subsets and, when
@@ -37,32 +41,41 @@ Each curve is one read-only record array of ``TailEstimate``.
 
 One byte budget for the whole run, ``_CHUNK_BYTES`` (2.5 MiB), sizes the
 chunks (``_chunk_spans``).  It is split across the min(threads, CPUs)
-workers, and a chunk holds max(1, budget // (workers * trial bytes)) trials,
-where a trial's bytes (``_trial_bytes``) are its sampled stack of all n
-columns and its Gram over the c columns in use, 8 (m n + c^2), or its packed
-sign words on the Bernoulli coherence path.  Within a chunk every
-enumeration of the subsets, exhaustive or pruned, walks them in one kind of
-slice (``_slices``): 256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound
-per matrix and subset, so a slice's gathered k x k Grams take k^2 times
-that, and ``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.
-The pruned max also holds one ``_workspace`` of eight slice-sized bound
-tables, 2 MiB at 256 KiB a table, and a copy of the chunk's Grams with the
-trial last.  All of these are per worker, outside ``_CHUNK_BYTES``, so
-threads multiply them.  Each slice is filled straight from the lexicographic
-stream, so no array of every subset is built.  A single trial larger than
-the budget still runs, as a chunk of its own.
+workers, and a chunk holds max(1, budget // (workers * trial bytes)) trials.
+A trial's bytes (``_trial_bytes``) are its sampled stack of all n columns and
+its Gram over the c columns in use, 8 (m n + c^2), or its packed sign words
+on the Bernoulli coherence path.  A Gaussian trial at k <= 2 counts instead
+what it takes in its worker's arena (``_arena_words``): the sampler's Philox
+state or raw words, which the entries then reuse, or the entries with the
+diagonal, pair table and scratch of ``kernels.pair_max``, whichever is more.
+Each worker's fold allocates one arena for its largest chunk and reuses it
+for every chunk it runs, so a chunk allocates no sampling or table
+temporaries and faults no fresh pages; the arena is freed when the run ends.
+Within a chunk every enumeration of the subsets at k >= 3, exhaustive or
+pruned, walks them in one kind of slice (``_slices``): 256 KiB
+(``_SLICE_BYTES``) of one 8-byte value or bound per matrix and subset, so a
+slice's gathered k x k Grams take k^2 times that, and ``_BLOCK_BYTES``
+(256 MiB) caps them, which binds only at k > 32.  The pruned max also holds
+one ``_workspace`` of eight slice-sized bound tables, 2 MiB at 256 KiB a
+table, and a copy of the chunk's Grams with the trial last.  All of these,
+and the column-block tiles of ``kernels.pair_max`` on wide trials, are per
+worker, outside ``_CHUNK_BYTES``, so threads multiply them.  Each slice is
+filled straight from the lexicographic stream, so no array of every subset is
+built.  A single trial larger than the budget still runs, as a chunk of its
+own.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
 for the eigen kernels at k >= 3; at k <= 2 the closed form is cheaper than any
-bound and every subset is evaluated.  Each subset's extreme eigenvalues are
-bounded by bordering its lexicographic prefixes, from the 1 x 1 diagonal up to
-k (``_bordered_bounds``; Horn & Johnson, *Matrix Analysis*, ch. 4), the lower
-side only for the kernels that read it, and the subset gets the kernel's value
-at those bounds.  The bounds are gathered as whole rows of a Gram table with
-the trial last, into the fixed workspace, so no slice allocates a
-(subsets, trials) array.  The running maximum of each matrix starts at the
-values of subsets grown greedily on the same bounds (``_greedy_seeds``).
+bound and every pair or column is evaluated.  Each subset's extreme
+eigenvalues are bounded by bordering its lexicographic prefixes, from the
+1 x 1 diagonal up to k (``_bordered_bounds``; Horn & Johnson, *Matrix
+Analysis*, ch. 4), the lower side only for the kernels that read it, and the
+subset gets the kernel's value at those bounds.  The bounds are gathered as
+whole rows of a Gram table with the trial last, into the fixed workspace, so
+no slice allocates a (subsets, trials) array.  The running maximum of each
+matrix starts at the values of subsets grown greedily on the same bounds
+(``_greedy_seeds``).
 Slice by slice of the enumeration, a subset is decomposed only when its
 bound, widened by 1e-9 of |bound| + ub_smax for rounding, reaches that
 running maximum, so the maximum and every count are exactly those of
@@ -87,17 +100,20 @@ from math import comb, inf
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_batch
+from .ensembles import EnsembleSpec, sample_batch, sample_words
 from .kernels import (
     KernelId,
     _checked,
     gram_extremes,
-    gram_mutual_coherence,
+    gram_pair_max,
     gram_stack,
     packed_coherence,
     packed_mutual_coherence,
+    pair_max,
     pair_values,
+    pair_words,
     spectral_value,
+    trial_last_grams,
 )
 
 DEFAULT_SUBSET_CAP = 1_000_000
@@ -374,38 +390,31 @@ def _greedy_seeds(grams, kernel: KernelId, k):
 def _max_values(grams, kernel: KernelId, k, rows):
     """Per-matrix max kernel value over all size-k subsets -> (B,), equal to exhaustive evaluation.
 
-    grams: (B, n, n) over all n columns.  The coherence max over all pairs is
-    read from whole Grams by kernels.gram_mutual_coherence.  At k <= 2
-    every subset is evaluated, slice by slice, the pairs of k = 2 by
-    ``kernels.pair_values``.  At k > m every sigma2_min is exactly 0, so the
-    neg_sigma_min_sq max is -0.0 with no eigvalsh.
-    Otherwise (k >= 3) this is an exact branch and bound over the same slices
-    in enumeration order.  The running max is seeded with the values of the
-    ``_greedy_seeds`` subsets.  The Grams are copied once into an (n, n, B)
+    grams: (B, n, n) over all n columns.  At k <= 2 the max over every pair,
+    or column, is read by ``kernels.gram_pair_max``, with no subset stream.
+    At k > m every sigma2_min is exactly 0, so the neg_sigma_min_sq max is
+    -0.0 with no eigvalsh.  Otherwise (k >= 3) this is an exact branch and
+    bound over the slices of ``_slices`` in enumeration order.  The running
+    max is seeded with the values of the ``_greedy_seeds`` subsets.  The Grams are copied once into an (n, n, B)
     table with the trial last, and one ``_workspace`` of slice size holds
     every bound: each slice is bounded by ``_subset_reach``, and only the
     subsets whose widened bound reaches the running max are decomposed.  A
     skipped subset cannot hold the maximum, and eigvalsh gives each k x k
     Gram, gathered from ``grams``, the same floats whatever else is in its
-    stack, so the maximum is bit for bit the exhaustive one.  Both branches
-    take their slices from ``_slices``.
+    stack, so the maximum is bit for bit the exhaustive one.
     """
-    if kernel.needs_pair:
-        return gram_mutual_coherence(grams)
+    if k <= 2:
+        return gram_pair_max(grams, kernel, k, rows)
     count, n = grams.shape[0], grams.shape[-1]
     if kernel.variant == "neg_sigma_min_sq" and k > rows:
         return np.full(count, -0.0)
-    slices = _slices(n, k, count)
-    if k < 3:
-        values = pair_values if k == 2 else _batch_values
-        return functools.reduce(np.maximum, (values(grams, kernel, part, rows).max(axis=1) for part in slices))
     every = np.arange(count)
     top = functools.reduce(
         np.maximum, (_batch_values(grams, kernel, seed, rows, every) for seed in _greedy_seeds(grams, kernel, k))
     )
     table = np.ascontiguousarray(np.moveaxis(grams, 0, -1))
     work = _workspace(_slice_size(n, k, count), count)
-    for part in slices:
+    for part in _slices(n, k, count):
         pos, picks = np.nonzero(_subset_reach(table, kernel, part, rows, work) >= top)
         np.maximum.at(top, picks, _batch_values(grams, kernel, part[pos], rows, picks))
     return top
@@ -454,11 +463,24 @@ def _trial_bytes(spec: EnsembleSpec, cols, packed):
     """Bytes one trial holds in a chunk: its packed sign words, or its sampled stack and its Gram.
 
     The stack spans all n columns, since all are sampled before those in use
-    are taken; the Gram spans only the ``cols`` columns in use.
+    are taken; the Gram spans only the ``cols`` columns in use.  Gaussian
+    chunks at k <= 2 hold neither and are sized by ``_arena_words``.
     """
     if packed:
         return 8 * spec.n * -(-spec.m // 64)
     return 8 * (spec.m * spec.n + cols * cols)
+
+
+def _arena_words(spec: EnsembleSpec, k, table):
+    """Float64 words one Gaussian trial at k <= 2 takes in its worker's arena.
+
+    The sampler's words (``ensembles.sample_words``), which its entries then
+    reuse, or the entries and what ``kernels.pair_max`` reads the max with
+    (``kernels.pair_words``), whichever is more; ``table`` None reads no max.
+    """
+    entries = spec.m * spec.n
+    read = 0 if table is None else pair_words(spec.m, spec.n, k, table)
+    return max(sample_words(spec), entries + read)
 
 
 def _cpus():
@@ -482,7 +504,7 @@ def _chunk_spans(trials, threads, trial_bytes):
     return min(workers, len(spans)), spans
 
 
-def _accumulate_counts(trials, threads, trial_bytes, chunk_counts):
+def _accumulate_counts(trials, threads, trial_bytes, chunk_counts, arena=False):
     """Sum the integer counts of the chunks of ``_chunk_spans`` as each finishes.
 
     A trial's counts do not depend on the chunk that holds it, so neither does
@@ -490,24 +512,31 @@ def _accumulate_counts(trials, threads, trial_bytes, chunk_counts):
     no pool.  Pool workers take chunks one at a time from a shared queue and
     each keeps a running total, so nothing held grows with the chunk count; once
     a chunk fails, the queue is emptied and the others stop after their current chunk.
+    With ``arena``, each worker's fold allocates one float64 buffer of
+    ``trial_bytes`` per trial of the largest chunk and passes it to every chunk
+    it runs, as chunk_counts(start, stop, arena); a shorter chunk uses its
+    start.  The fold owns the buffer, so it is freed when the run ends.
     """
     workers, spans = _chunk_spans(trials, threads, trial_bytes)
-    if workers == 1:
-        return sum(itertools.starmap(chunk_counts, spans))
     queue = collections.deque(spans)  # popleft and clear are thread-safe
+    words = (spans[0][1] - spans[0][0]) * trial_bytes // 8
 
     def fold(_):
         total = 0
+        own = (np.empty(words),) if arena else ()
         while True:
             try:
                 span = queue.popleft()
             except IndexError:
                 return total
             try:
-                total += chunk_counts(*span)
+                total += chunk_counts(*span, *own)
             except BaseException:
                 queue.clear()
                 raise
+
+    if workers == 1:
+        return fold(0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(fold, range(workers)))
@@ -530,7 +559,11 @@ def _tail_counts(
     grid point (ties, +-0.0, +-inf and NaN among them) as long as no value
     is NaN; the kernels yield none from sampled (finite) matrices.  Bernoulli
     coherence builds no Gram: its values are read from the chunk's packed
-    sign words.
+    sign words.  Neither does a Gaussian run at k <= 2: its fixed subsets
+    get a Gram over their own columns, and its max is read by
+    ``kernels.pair_max`` from the trial-last entries in the worker's arena,
+    over the pair table when a chunk holds at least n trials, a tile of
+    column blocks a trial at a time otherwise.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -547,19 +580,33 @@ def _tail_counts(
         raise ValueError(f"a_grid must be one-dimensional, got shape {grid.shape}")
     fixed = np.asarray(fixed, dtype=np.int64).reshape(len(fixed), k)
     packed = kernel.needs_pair and spec.family == "bernoulli"
-    if cap is None:
+    # Gaussian pairs and columns are read without an n x n Gram, in a worker arena
+    arena = spec.family == "gaussian" and k <= 2
+    if cap is None or arena:
         cols = np.unique(fixed)
         local = np.searchsorted(cols, fixed)
-        trial_bytes = _trial_bytes(spec, len(cols), packed)
     else:
         cols, local = slice(None), fixed
-        trial_bytes = _trial_bytes(spec, spec.n, packed)
+    if arena:
+        # the pair table pays when a chunk holds at least n trials
+        table = None
+        if cap is not None:
+            spans = _chunk_spans(trials, threads, 8 * _arena_words(spec, k, True))[1]
+            table = spans[0][1] - spans[0][0] >= spec.n
+        trial_bytes = 8 * _arena_words(spec, k, table)
+    else:
+        trial_bytes = _trial_bytes(spec, spec.n if cap is not None else len(cols), packed)
 
-    def chunk_counts(start, stop):
+    def chunk_counts(start, stop, work=None):
         if packed:
             words = sample_batch(spec, start, stop, packed=True)
             top = packed_mutual_coherence(words, spec.m) if cap is not None else None
             values = packed_coherence(words, spec.m, fixed) if events else None
+        elif arena:
+            stack = sample_batch(spec, start, stop, out=work)
+            entries = np.moveaxis(stack, 0, -1)  # (m, n, B), contiguous
+            values = _batch_values(trial_last_grams(entries[:, cols]), kernel, local, spec.m) if events else None
+            top = pair_max(entries, kernel, k, spec.m, work[stack.size :], table) if cap is not None else None
         else:
             # one expression, so the sampled stack is freed once its Gram is built
             grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
@@ -569,7 +616,7 @@ def _tail_counts(
         stats += [values[:, list(event)].min(axis=1) for event in events]
         return np.stack([len(v) - np.searchsorted(np.sort(v), grid, side="right") for v in stats])
 
-    return grid, _accumulate_counts(trials, threads, trial_bytes, chunk_counts)
+    return grid, _accumulate_counts(trials, threads, trial_bytes, chunk_counts, arena)
 
 
 def mc_marginal_tail(

@@ -162,6 +162,47 @@ def test_fig_extreme_vectorized_sampler_pinned_bytes(tmp_path, threads):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of Gaussian CSVs at seed 7 on the paths that read the diagonal and
+# the column pairs alone: n = 300 (wider than one table) on both sides and for
+# the coherence, and k = 1
+_PINNED_PAIR_CSVS = [
+    pytest.param(
+        ["fig-coherence", "--ensemble", "gaussian", "--m", "50", "--n", "300", "--trials", "16"],
+        "e4182d5411670dbcc933e003dc09259724272037ab79b1de4660d3973b0db6d4", id="coherence-50x300",
+    ),
+    pytest.param(
+        ["fig-extreme", "--ensemble", "gaussian", "--m", "20", "--n", "300", "--k", "2", "--trials", "64",
+         "--kernel", "sigma_max_sq"],
+        "62db56b029bb8c2a34a2faeac27cd04bd24e9a70d7215905218e4349dcba12bd", id="max-20x300-k2",
+    ),
+    pytest.param(
+        ["fig-extreme", "--ensemble", "gaussian", "--m", "20", "--n", "300", "--k", "2", "--trials", "64",
+         "--kernel", "neg_sigma_min_sq"],
+        "37139afd8779d53272b61f0c0b7d3bf23ae326d7733f2c935bdc231b620e4928", id="min-20x300-k2",
+    ),
+    pytest.param(
+        ["fig-extreme", "--ensemble", "gaussian", "--m", "6", "--n", "40", "--k", "1", "--trials", "3000"],
+        "780cd310dc47a2a8b35216ad05360ea319aaa5874b97a53ef2987f5b3e92d5af", id="max-6x40-k1",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", _PINNED_PAIR_CSVS)
+def test_pair_paths_pinned_bytes(tmp_path, args, digest):
+    out = tmp_path / "pinned.csv"
+    assert _run([*args, "--seed", "7", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_fig_extreme_threads_byte_equal_with_a_short_last_chunk(tmp_path):
+    # 5,001 trials leave a short last chunk at every thread count
+    args = ["fig-extreme", "--m", "5", "--n", "10", "--k", "2", "--trials", "5001", "--seed", "7"]
+    outs = [tmp_path / f"t{threads}.csv" for threads in (1, 2, 3)]
+    for threads, out in zip((1, 2, 3), outs):
+        assert _run([*args, "--threads", str(threads), "--out", str(out)]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_fig_extreme_overlap_restriction(tmp_path):
     out = tmp_path / "overlap.csv"
     assert (
@@ -554,6 +595,35 @@ def test_fig_extreme_long_grid_memory_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def test_fig_extreme_grid_columns_memory_bound(tmp_path):
+    # 400,000 thresholds: each grid-sized column as one Python list peaked at
+    # 100.8 MiB traced; converted a block of rows at a time it is 58 MiB, most
+    # of it the three tail curves
+    args = ["fig-extreme", "--m", "5", "--n", "10", "--k", "2", "--trials", "512", "--seed", "7",
+            "--a-steps", "400000", "--out", str(tmp_path / "x.csv")]
+    tracemalloc.start()
+    try:
+        assert _run(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20
+
+
+def test_fig_extreme_k1_reads_only_the_diagonal(tmp_path):
+    # a 3,000-column k = 1 run: an n x n Gram per trial peaked at 137.5 MiB
+    # traced; the diagonal of two trials takes 0.4 MiB
+    args = ["fig-extreme", "--ensemble", "gaussian", "--m", "2", "--n", "3000", "--k", "1", "--trials", "2",
+            "--seed", "7", "--out", str(tmp_path / "x.csv")]
+    tracemalloc.start()
+    try:
+        assert _run(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_config_file_and_flag_precedence(tmp_path):

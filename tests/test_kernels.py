@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from uniontight import kernels
 from uniontight.bounds import gershgorin_ric
 from uniontight.ensembles import EnsembleSpec, sample_batch
 from uniontight.kernels import (
@@ -13,15 +14,21 @@ from uniontight.kernels import (
     SIGMA_MAX_SQ,
     KernelId,
     coherence_kernel,
+    gram_extremes,
     gram_mutual_coherence,
+    gram_pair_max,
     gram_stack,
     indicator,
     kernel_value,
     packed_coherence,
     packed_mutual_coherence,
+    pair_max,
     pair_values,
+    pair_words,
     ric_kernel,
+    spectral_value,
     squared_singular_extremes,
+    trial_last_grams,
 )
 
 GOLDEN = np.array([[1.0, 1.0], [0.0, 1.0]])  # Gram [[1,1],[1,2]], eigs (3 -+ sqrt 5)/2
@@ -241,3 +248,43 @@ def test_kernel_id_validation():
     with pytest.raises(ValueError):
         KernelId("spectral")
     assert COHERENCE.needs_pair and not RIC.needs_pair
+
+
+def _exhaustive_pair_max(grams, kernel, k, m):
+    """The max over every subset of size k = 1 or 2, from gathered blocks of whole Grams."""
+    subs = np.array(list(combinations(range(grams.shape[-1]), k)))
+    blocks = grams[:, subs[:, :, None], subs[:, None, :]]
+    if kernel.needs_pair:
+        gii, gjj, gij = blocks[..., 0, 0], blocks[..., 1, 1], blocks[..., 0, 1]
+        return np.minimum(np.abs(gij) / np.sqrt(gii * gjj), 1.0).max(axis=1)
+    return spectral_value(kernel, *gram_extremes(blocks, rows=m)).max(axis=1)
+
+
+# n below one 181-column tile of a wide trial, at one tile and off a tile
+# multiple; m = 1 has rank-one pairs, n = 2 fewer pairs than columns, and
+# 3 x 7 more pairs than entries
+@pytest.mark.parametrize(
+    "m, n, trials", [(1, 2, 40), (2, 3, 40), (1, 7, 40), (3, 7, 40), (20, 7, 40), (4, 181, 1), (3, 183, 2), (20, 200, 1)]
+)
+@pytest.mark.parametrize("kernel", [RIC, SIGMA_MAX_SQ, NEG_SIGMA_MIN_SQ, COHERENCE], ids=lambda kern: kern.variant)
+def test_pair_max_equals_the_exhaustive_max_bitwise(kernel, m, n, trials):
+    assert math.isqrt(kernels._PAIR_TILE_BYTES // 8) == 181
+    mats = sample_batch(EnsembleSpec("gaussian", m, n, base_seed=66), 0, trials)
+    grams = gram_stack(mats)
+    assert np.ascontiguousarray(trial_last_grams(np.moveaxis(mats, 0, -1))).tobytes() == grams.tobytes()
+    for k in (1, 2) if not kernel.needs_pair else (2,):
+        want = _exhaustive_pair_max(grams, kernel, k, m).tobytes()
+        assert gram_pair_max(grams, kernel, k, m).tobytes() == want
+        for table in (True, False):
+            entries = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+            out = np.full(trials * pair_words(m, n, k, table), np.nan)
+            assert pair_max(entries, kernel, k, m, out, table).tobytes() == want, (k, table)
+
+
+def test_pair_max_keeps_the_coherence_messages():
+    entries = np.column_stack([np.ones(3), np.zeros(3), np.ones(3)])[:, :, None]
+    for table in (True, False):
+        with pytest.raises(ValueError, match="^degenerate input: coherence kernel needs nonzero columns$"):
+            pair_max(entries.copy(), COHERENCE, 2, 3, np.empty(pair_words(3, 3, 2, table)), table)
+        with pytest.raises(ValueError, match="^coherence kernel requires k = 2$"):
+            pair_max(entries.copy(), COHERENCE, 1, 3, np.empty(pair_words(3, 3, 1, table)), table)
