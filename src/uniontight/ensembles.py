@@ -19,8 +19,13 @@ bit for bit, but no generator is built per trial.  Up to
 ``_VECTOR_WORDS_MAX`` words per trial (m*n, measured crossover) the
 Philox4x64-10 rounds run on uint64 arrays over (4-word blocks, trials), the
 first block at counter 1 because numpy advances the counter before it
-generates.  The rounds run in place (ufunc ``out=``) on nine such arrays, the
-rows of one buffer, so no round allocates.  Above the crossover, one
+generates.  The rounds run in place (ufunc ``out=``) on ten such arrays and a
+table of every round's keys, all in one buffer, so no round allocates.  The
+first two rounds are mostly per-block constants, worked in closed form; each
+later round multiplies x0 and x2 as one two-lane array, so a round is 18
+ufunc calls and a whole batch about 170, few enough that two threads
+sampling at once seldom wait for each other's interpreter lock.  Above the
+crossover, one
 generator per ``sample_batch`` call is reseated to each trial's key through
 its ``state`` setter.  ``sample_batch(..., out=buffer)`` runs every step in a
 caller's buffer, the uniform, ``ndtri`` and scale steps (or the sign steps)
@@ -96,42 +101,60 @@ _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT63 = np.uint64(63)  # a raw word's top bit is its Bernoulli sign
+# The multipliers of the two lanes of a round, whole and as 32-bit halves, in
+# either lane order: [M0, M1] for lanes [x0, x2], [M1, M0] for [x2, x0].
+_LANE_MUL = np.array([_PHILOX_MUL, _PHILOX_MUL[::-1]], dtype=np.uint64).reshape(2, 2, 1, 1)
+_LANE_MUL_LO = _LANE_MUL & _LOW32
+_LANE_MUL_HI = _LANE_MUL >> _SHIFT32
+# round r's key bump (r W0, r W1) mod 2^64
+_KEY_STEPS = np.array([[r * w % 2**64 for w in _PHILOX_WEYL] for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
 # Most words per trial for which the vectorized rounds beat reseating one
-# generator.  Interleaved medians of two runs on a 2-vCPU x86-64 host,
-# vectorized vs reseated, per 512- and 1,092-trial chunk: 48 words 1.6-1.8 vs
-# 2.7-3.0 and 2.1-2.9 vs 3.2-5.8 ms, 64 words 2.0-2.1 vs 3.0 and 2.7-3.6 vs
-# 3.4-6.0 ms, 80 words 1.7-2.5 vs 1.7-2.4 and 4.5-5.8 vs 4.1-6.7 ms, 128 words
-# 3.1-4.3 vs 2.2-3.6 and 7.1-9.5 vs 4.4-7.8 ms.  At 128 trials a chunk the
-# reseated generator is ahead from 48 words on (0.9 vs 0.75 ms), but only runs
-# of that few trials get such chunks.
-_VECTOR_WORDS_MAX = 64
+# generator.  Medians of two interleaved runs on a 2-vCPU x86-64 host, one
+# thread, per 512- and 1,092-trial chunk (ms, vectorized vs reseated):
+#
+#   words   512 trials              1,092 trials
+#    48     0.69      vs 1.21-1.22  1.34-1.82 vs 3.53-4.73
+#    64     0.77-1.11 vs 1.29-1.43  1.71-2.17 vs 2.61-3.67
+#    80     0.91-0.95 vs 1.39-1.44  2.23-2.62 vs 2.74-3.94
+#    96     1.43-1.70 vs 1.48-2.31  2.70-3.18 vs 2.86-4.16
+#   112     1.23-1.25 vs 1.47-1.51  3.32-3.43 vs 2.93-3.01
+#   128     1.61-1.63 vs 1.53-1.61  4.04-4.40 vs 3.06-3.83
+#   200     3.33-3.52 vs 3.14-3.43  8.86-8.94 vs 6.58-6.73
+#
+# At 96 words the margin is inside the runs' spread, so the constant stops at
+# 80.  At 128 trials a chunk the two tie at 48 words (0.32-0.34 vs 0.31 ms) and
+# the reseated generator is ahead from 64 on (0.41-0.58 vs 0.32-0.52 ms, 200
+# words 0.66-1.02 vs 0.45-0.78), but only runs of that few trials get such
+# chunks.
+_VECTOR_WORDS_MAX = 80
 # Raw words drawn at once by a packed call (16 MiB); a 512-trial chunk of
 # 50 x 100 matrices takes 2 tiles, of 50 x 1000 matrices 13.
 _WORD_TILE_BYTES = 1 << 24
 
 
-def _mulhi(mul, x, hi, s0, s1, s2):
-    """Write into ``hi`` the high 64-bit words of the 128-bit products mul * x.
+def _mulhi(x, m_lo, m_hi, hi, a, b):
+    """Write into ``hi`` the high 64-bit words of the 128-bit products x * (m_hi 2^32 + m_lo).
 
-    The 32-bit halves carry as t = xl*ml, u = xh*ml + (t >> 32),
+    The 32-bit halves carry as t = xl*ml >> 32, u = xh*ml + t,
     v = xl*mh + (u & L), hi = xh*mh + (u >> 32) + (v >> 32); no term
-    overflows 64 bits.  ``hi`` holds xh until its last three steps, and
-    ``s0``-``s2`` are scratch arrays of x's shape.
+    overflows 64 bits.  ``a`` and ``b`` are scratch arrays of x's shape, and x
+    is only read, so xh is taken from it twice rather than held in a third.
+    The halves of m broadcast against x, so one call can multiply two lanes.
     """
-    m_lo, m_hi = np.uint64(mul & 0xFFFFFFFF), np.uint64(mul >> 32)
-    x_lo = np.bitwise_and(x, _LOW32, out=s0)
-    x_hi = np.right_shift(x, _SHIFT32, out=hi)
-    t = np.multiply(x_lo, m_lo, out=s1)
-    t >>= _SHIFT32
-    u = np.multiply(x_hi, m_lo, out=s2)
-    u += t
-    v = np.multiply(x_lo, m_hi, out=s0)
-    v += np.bitwise_and(u, _LOW32, out=s1)
-    u >>= _SHIFT32
-    v >>= _SHIFT32
+    np.bitwise_and(x, _LOW32, out=a)
+    np.multiply(a, m_lo, out=b)
+    b >>= _SHIFT32
+    a *= m_hi
+    np.right_shift(x, _SHIFT32, out=hi)
+    hi *= m_lo
+    b += hi
+    a += np.bitwise_and(b, _LOW32, out=hi)
+    b >>= _SHIFT32
+    a >>= _SHIFT32
+    np.right_shift(x, _SHIFT32, out=hi)
     hi *= m_hi
-    hi += u
-    hi += v
+    hi += b
+    hi += a
 
 
 def _philox_words(base_seed, first, count, size, state=None):
@@ -140,41 +163,54 @@ def _philox_words(base_seed, first, count, size, state=None):
     Trial t's stream is keyed (base_seed, t) and its j-th 4-word block is
     Philox4x64-10 of the counter (j + 1, 0, 0, 0): numpy advances the counter
     before it generates, so a fresh generator's first block is counter 1.
-    The rounds run in place on the nine (blocks, count) rows of ``state``, a
-    uint64 buffer of at least 9 * blocks * count words (allocated when None),
-    with the trial last: the two high words and three scratch arrays, then the
-    four state words.  An even number of rounds leaves the state words in the
-    last four rows, so the words are stacked trial-last into the first four,
-    dead by then, and returned as the transposed view of those (size, count)
-    words.
+    ``state`` is a uint64 buffer of at least ``sample_words`` words a trial
+    (allocated when None): ten (blocks, count) rows with the trial last, two
+    scratch lane pairs and three state lane pairs, then every round's keys.
+
+    Rounds 0 and 1 are worked in closed form.  The counter and the key word
+    k0 are the same for every trial, so round 0 leaves x0 = k0, x1 = 0, a
+    per-block x3 = lo(M0 (j+1)) and x2 = hi(M0 (j+1)) ^ k1, one broadcast
+    XOR; round 1 multiplies x2 alone, and its x2 and x3 again take one
+    broadcast XOR and one fill.  Rounds 2-9 multiply x0 by M0 and x2 by M1 as
+    one (2, blocks, count) lane pair.  The new x0 and x2 come out in the
+    opposite lane order to the old, so the multipliers and keys alternate
+    with it, and the low products are read back reversed, as a view.  After
+    the eighth two-lane round the lanes are in their first order again; the
+    words are stacked trial-last into the scratch rows, dead by then, and
+    returned as the transposed view of those (size, count) words.
     """
     blocks = -(-size // 4)
+    rows = 10 * blocks * count
     if state is None:
-        state = np.empty(9 * blocks * count, dtype=np.uint64)
-    hi0, hi1, *scratch, x1, x3, x0, x2 = state[: 9 * blocks * count].reshape(9, blocks, count)
-    x0[...] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    for word in (x1, x2, x3):
-        word.fill(0)
-    k0 = np.uint64(base_seed)
-    k1 = np.uint64(first) + np.arange(count, dtype=np.uint64)
-    mul0, mul1 = (np.uint64(mul) for mul in _PHILOX_MUL)
-    with np.errstate(over="ignore"):
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                k0 = k0 + np.uint64(_PHILOX_WEYL[0])
-                k1 += np.uint64(_PHILOX_WEYL[1])
-            _mulhi(_PHILOX_MUL[0], x0, hi0, *scratch)
-            _mulhi(_PHILOX_MUL[1], x2, hi1, *scratch)
-            hi1 ^= x1
-            hi1 ^= k0
-            hi0 ^= x3
-            hi0 ^= k1
-            np.multiply(x2, mul1, out=x1)
-            np.multiply(x0, mul0, out=x3)
-            # the new x0 and x2 are the high words; the old ones take their place
-            x0, x2, hi0, hi1 = hi1, hi0, x0, x2
+        state = np.empty(rows + 2 * _PHILOX_ROUNDS * count, dtype=np.uint64)
+    a, b, x, hi, y = state[:rows].reshape(5, 2, blocks, count)
+    keys = state[rows : rows + 2 * _PHILOX_ROUNDS * count].reshape(_PHILOX_ROUNDS, 2, 1, count)
+    # round r's key lanes are [k1, k0] for even r and [k0, k1] for odd r, as the
+    # lane order of its x0 and x2
+    first_keys = _KEY_STEPS + np.array([base_seed, first], dtype=np.uint64)  # (k0, k1 of trial first) a round
+    pairs = keys.reshape(_PHILOX_ROUNDS // 2, 4, count)
+    np.add(first_keys[:, 1].reshape(-1, 2, 1), np.arange(count, dtype=np.uint64), out=pairs[:, ::3])
+    pairs[:, 1:3] = first_keys[:, 0].reshape(-1, 2, 1)
+    # (hi, lo) of M0 (j + 1) per block, and of M0 k0
+    counter = np.array([divmod(_PHILOX_MUL[0] * (j + 1), 2**64) for j in range(blocks)], dtype=np.uint64)
+    seed_hi, seed_lo = divmod(_PHILOX_MUL[0] * int(base_seed), 2**64)
+    # round 0: x2 = hi(M0 (j+1)) ^ k1; round 1 multiplies it by M1 in y[0]
+    np.bitwise_xor(counter[:, :1], keys[0, 0], out=y[0])
+    _mulhi(y[0], _LANE_MUL_LO[0, 1], _LANE_MUL_HI[0, 1], x[0], a[0], b[0])
+    x[0] ^= first_keys[1, 0]
+    np.bitwise_xor(counter[:, 1:] ^ np.uint64(seed_hi), keys[1, 1], out=x[1])
+    y[0] *= _LANE_MUL[0, 1]
+    y[1].fill(seed_lo)
+    # x holds [x0, x2] and y [x1, x3]; each round flips both lane orders
+    for r in range(2, _PHILOX_ROUNDS):
+        order = r % 2
+        _mulhi(x, _LANE_MUL_LO[order], _LANE_MUL_HI[order], hi, a, b)
+        hi ^= y[::-1]
+        hi ^= keys[r]
+        x *= _LANE_MUL[order]
+        x, hi, y = hi, y, x
     words = state[: 4 * blocks * count].reshape(blocks, 4, count)
-    np.stack((x0, x1, x2, x3), axis=1, out=words)
+    np.stack((x[0], y[0], x[1], y[1]), axis=1, out=words)
     return words.reshape(4 * blocks, count)[:size].T
 
 
@@ -226,11 +262,12 @@ def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
 def sample_words(spec: EnsembleSpec) -> int:
     """Words one trial takes in the ``out`` buffer of ``sample_batch``.
 
-    Nine per 4-word Philox block up to ``_VECTOR_WORDS_MAX`` words a trial,
-    the state of the vectorized rounds; above it, the trial's m * n words.
+    Up to ``_VECTOR_WORDS_MAX`` words a trial, ten per 4-word Philox block
+    and two per round, the state and keys of the vectorized rounds; above it,
+    the trial's m * n words.
     """
     size = spec.m * spec.n
-    return 9 * -(-size // 4) if size <= _VECTOR_WORDS_MAX else size
+    return 10 * -(-size // 4) + 2 * _PHILOX_ROUNDS if size <= _VECTOR_WORDS_MAX else size
 
 
 def _raw_words(base_seed, first, count, size, out=None):
@@ -272,7 +309,7 @@ def sample_batch(spec: EnsembleSpec, start: int, stop: int, packed: bool = False
 
     Trial t's entries come from the words of
     ``Philox(key=[base_seed, t]).random_raw(m * n)``, bit for bit, without
-    building a generator per trial.  Up to ``_VECTOR_WORDS_MAX`` (64) words
+    building a generator per trial.  Up to ``_VECTOR_WORDS_MAX`` (80) words
     per trial the Philox4x64-10 rounds run on uint64 arrays over (trials,
     blocks), the first block at counter 1; above it one generator per call is
     reseated to each trial's key through its ``state`` setter.  Equivalent to

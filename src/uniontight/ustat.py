@@ -119,8 +119,9 @@ from .kernels import (
 DEFAULT_SUBSET_CAP = 1_000_000
 
 # Byte budget of a whole run's trial chunks, split across its workers (see the
-# module notes).  It gives 5 x 10 Gaussian trials about 1,000 a chunk at two
-# workers: fewer numpy calls per trial keep two threads from queueing on the GIL.
+# module notes).  It gives 5 x 10 Gaussian trials at k <= 2 1,092 a chunk at two
+# workers (150 arena words a trial): a chunk's numpy calls, about 170 of them in
+# the sampler, are then few per trial, so two threads seldom queue on the GIL.
 # Split rather than per worker, so a lone worker gets all of it: wide runs need
 # large chunks, since each chunk enumerates every subset again.
 _CHUNK_BYTES = 5 << 19  # 2.5 MiB

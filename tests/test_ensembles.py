@@ -96,6 +96,30 @@ def test_sample_batch_words_exact_around_crossover(monkeypatch, offset, base_see
     assert np.array_equal(words, _reference_words(base_seed, start, start + 6, size))
 
 
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("base_seed, start, stop", [(0, 0, 3), (2**64 - 1, 2**64 - 5, 2**64)])
+def test_sample_batch_out_buffer_holds_the_words_and_entries(family, base_seed, start, stop):
+    # every size through the crossover, so every partial last block on the vectorized path
+    count = stop - start
+    for size in range(1, ensembles._VECTOR_WORDS_MAX + 2):
+        m = math.gcd(size, 6)
+        spec = EnsembleSpec(family, m, size // m, base_seed=base_seed)
+        words = count * ensembles.sample_words(spec)
+        buffer = np.empty(words)
+        raws = ensembles._raw_words(base_seed, start, count, size, buffer.view(np.uint64))
+        assert raws.T.flags.c_contiguous and raws.T.ctypes.data == buffer.ctypes.data
+        assert np.array_equal(raws, _reference_words(base_seed, start, stop, size))
+        entries = sample_batch(spec, start, stop, out=buffer)
+        trial_last = np.moveaxis(entries, 0, -1)
+        assert trial_last.flags.c_contiguous and trial_last.ctypes.data == buffer.ctypes.data
+        assert entries.tobytes() == sample_batch(spec, start, stop).tobytes()
+        # one word short: refused, and the word past its end is left alone
+        padded = np.full(words, 7.0)
+        with pytest.raises(ValueError):
+            sample_batch(spec, start, stop, out=padded[: words - 1])
+        assert padded[-1] == 7.0
+
+
 @pytest.mark.parametrize("m, n", [(5, 10), (10, 20)])
 def test_sample_batch_builds_at_most_one_generator(monkeypatch, m, n):
     built = []
