@@ -12,15 +12,18 @@ from G_ii, G_jj and G_ij alone (``_pair_kernel``): the coherence
 ``pair_values`` reads listed pairs of whole Grams, and ``gram_pair_max`` the
 max over every pair (or, at k = 1, column) of whole Grams, from index tiles.
 The single-submatrix functions are thin wrappers over the same primitives.
+Every stack's Grams have one layout, an (n, n, B) table with the trial last
+read through its (B, n, n) view, from ``gram_stack`` or summed in a worker's
+arena (``trial_last_grams``).  A non-lattice entry G_ij sums the row
+products in row order, so its bits do not depend on the columns beside it.
 
 Pairs without a Gram: the Monte-Carlo engine reads a Gaussian chunk's max at
-k <= 2 with ``pair_max``, from its entries with the trial last.  Each entry
-G_ij sums the row products in row order, as ``gram_stack`` does, so its bits
-are those of the full Gram's, whichever columns are built beside it.  A chunk
-of many trials gets the pair-only Gram table: the diagonal (n, B) and every
-pair i < j as an (n(n-1)/2, B) row, read in place over long contiguous trial
-rows.  A chunk of few, wide trials is read a trial at a time, a tile of
-column blocks under ``_PAIR_TILE_BYTES`` at a time.
+k <= 2 with ``pair_max``, from its entries with the trial last, each entry
+summed in the same row order.  A chunk of many trials gets the pair-only
+Gram table: the diagonal (n, B) and every pair i < j as an (n(n-1)/2, B)
+row, read in place over long contiguous trial rows.  A chunk of few, wide
+trials is read a trial at a time, a tile of column blocks under
+``_PAIR_TILE_BYTES`` at a time.
 
 Four variants are supported:
 
@@ -88,7 +91,6 @@ NEG_SIGMA_MIN_SQ = KernelId("neg_sigma_min_sq")
 COHERENCE = KernelId("coherence")
 
 _FIRST_PAIR = np.array([[0, 1]])
-_GRAM_TILE_BYTES = 1 << 18  # Gaussian Grams are summed a cache-sized tile at a time
 _PAIR_TILE_BYTES = 1 << 18  # a tile of pair entries read at once from whole Grams or a wide trial
 
 
@@ -102,48 +104,47 @@ def _checked(a_sub):
 
 
 def gram_stack(mats: np.ndarray) -> np.ndarray:
-    """Gram matrices A^T A of a (B, m, n) stack of matrices; shape (B, n, n).
+    """Gram matrices A^T A of a (B, m, n) stack of matrices -> (B, n, n), the axis-0 view of (n, n, B) memory.
 
     A stack whose entries all have magnitude entry_scale(m) gets the exact
-    lattice Gram (S^T S) / m built from its signs S (see the module notes).
-    Any other stack sums the row outer products in row order 0..m-1, so an
-    entry's rounding does not depend on which or how many columns the stack
-    holds: a subset's Gram is the same bits as its block of the full Gram.
+    lattice Gram (S^T S) / m built from its signs S (see the module notes);
+    any other goes through ``trial_last_grams``.
     """
-    m = mats.shape[-2]
+    count, m, n = mats.shape
     scale = entry_scale(m)
     # the scalar test rejects Gaussian stacks without a pass over the array
     if abs(mats.flat[0]) == scale and np.all(np.abs(mats) == scale):
         signs = np.sign(mats)
+        grams = np.moveaxis(np.empty((n, n, count)), -1, 0)
         # the batched matmul runs faster on a contiguous left factor; the sums stay exact
-        grams = np.matmul(np.ascontiguousarray(np.swapaxes(signs, -1, -2)), signs)
-        grams /= m
-        return grams
-    # a tile of matrices at a time keeps the running sums in cache
-    count, n = mats.shape[0], mats.shape[-1]
-    grams = np.empty((count, n, n))
-    step = max(1, _GRAM_TILE_BYTES // (n * n * 8))
-    term = np.empty((min(step, count), n, n))
-    for start in range(0, count, step):
-        rows = np.swapaxes(mats[start : start + step], 0, 1)
-        tile, part = grams[start : start + step], term[: rows.shape[1]]
-        np.multiply(rows[0][:, :, None], rows[0][:, None, :], out=tile)
-        for row in rows[1:]:
-            tile += np.multiply(row[:, :, None], row[:, None, :], out=part)
-    return grams
+        np.matmul(np.ascontiguousarray(np.swapaxes(signs, -1, -2)), signs, out=grams)
+        return np.divide(grams, m, out=grams)
+    return trial_last_grams(np.moveaxis(mats, 0, -1))
 
 
-def trial_last_grams(entries: np.ndarray) -> np.ndarray:
-    """Gram matrices of a trial-last stack (m, c, B) of non-lattice floats -> (B, c, c), a view of (c, c, B) memory.
+def trial_last_grams(entries: np.ndarray, out=None) -> np.ndarray:
+    """Gram matrices of a trial-last stack (m, c, B) of non-lattice floats -> (B, c, c), the axis-0 view of (c, c, B) memory.
 
-    The row outer products are summed in row order 0..m-1, as ``gram_stack``
-    sums them, so every entry has the same bits; with the trial last, each
-    multiply runs over whole rows of trials.
+    Every entry sums the row products in row order 0..m-1, so a subset's
+    Gram is its block of the full Gram, bit for bit.  Without ``out`` the
+    sum takes a row of the matrices at a time, 2m calls over (c, c, B).
+    ``out``, at least B c (c + 1) float64 words, takes the Grams and then a
+    (c, B) scratch, and the sum takes a column at a time, c (2m - 1) calls.
     """
-    grams = np.multiply(entries[0][:, None], entries[0][None, :])
-    part = np.empty_like(grams)
-    for row in entries[1:]:
-        grams += np.multiply(row[:, None], row[None, :], out=part)
+    _, c, count = entries.shape
+    if out is None:
+        # C order: on the axis-0 view of a (B, m, n) stack numpy would put the trials first
+        grams = np.multiply(entries[0][:, None], entries[0][None, :], order="C")
+        part = np.empty_like(grams)
+        for row in entries[1:]:
+            grams += np.multiply(row[:, None], row[None, :], out=part)
+        return np.moveaxis(grams, -1, 0)
+    grams = out[: c * c * count].reshape(c, c, count)
+    part = out[c * c * count :][: c * count].reshape(c, count)
+    for i, column in enumerate(grams):
+        np.multiply(entries[0, i], entries[0], out=column)
+        for row in entries[1:]:
+            column += np.multiply(row[i], row, out=part)
     return np.moveaxis(grams, -1, 0)
 
 
@@ -228,9 +229,10 @@ def _check_pair_kernel(kernel: KernelId, k, diag):
 def pair_values(grams: np.ndarray, kernel: KernelId, pairs: np.ndarray, rows=None) -> np.ndarray:
     """Kernel values of listed column pairs, read from G_ii, G_jj and G_ij of whole Grams.
 
-    grams: (B, n, n) from gram_stack; pairs: (P, 2) int array -> (B, P).
-    Memory is O(B (n^2 + P)); no 2 x 2 block is gathered.  The values are
-    those of ``_pair_kernel``, the coherence clipped at 1.
+    grams: (B, n, n) in any layout, such as the trial-last view gram_stack
+    returns; pairs: (P, 2) int array -> (B, P).  Memory is O(B (n^2 + P));
+    no 2 x 2 block is gathered.  The values are those of ``_pair_kernel``,
+    the coherence clipped at 1.
     """
     diag = np.diagonal(grams, axis1=-2, axis2=-1)
     _check_pair_kernel(kernel, pairs.shape[1], diag)
@@ -267,7 +269,7 @@ def pair_max(entries: np.ndarray, kernel: KernelId, k, rows, out: np.ndarray, ta
     entries: (m, n, B) contiguous floats, the trial last, overwritten; out:
     a float64 buffer of at least B * ``pair_words(m, n, k, table)`` words.
     Each Gram entry sums the row products in row order 0..m-1, as
-    ``gram_stack`` does, so its bits are those of the full Gram's entry.
+    ``trial_last_grams`` does, so its bits are those of the full Gram's entry.
 
     The diagonal G_ii is an (n, B) table.  With ``table``, the pair-only
     Gram table holds every G_ij, i < j, as an (n(n-1)/2, B) row in
@@ -350,7 +352,7 @@ def _tiled_max(kernel: KernelId, mats, diag, rows, buffers):
 def gram_pair_max(grams: np.ndarray, kernel: KernelId, k, rows=None) -> np.ndarray:
     """Per-matrix max kernel value over all column pairs (k = 2) or columns (k = 1) of whole Grams -> (B,).
 
-    grams: (B, n, n) from gram_stack.  The pairs are read by ``pair_values``
+    grams: (B, n, n) as for ``pair_values``, which reads the pairs
     in enumeration order, _PAIR_TILE_BYTES of each of its three gathered
     (matrices, pairs) arrays at a time, from index arrays, not from a
     subset stream.  Bit for bit the max of ``pair_values`` over every pair

@@ -6,9 +6,9 @@ max-over-subsets statistic stays at or below the threshold.  Enumeration is
 lexicographic and refused (never silently approximated) above a configurable
 cap.
 
-Kernels are evaluated Gram-first: each matrix gets one Gram
-(``kernels.gram_stack``) over the columns the subsets use, all n of them when
-every subset is enumerated, and every subset's value is read from it: a
+Kernels are evaluated Gram-first: a stack's Grams over the columns the
+subsets use, all n when every subset is enumerated, are one trial-last table
+(``kernels.gram_stack``), and every subset's value is read from it: a
 pair as G_ii, G_jj and G_ij (``kernels.pair_values``), for every kernel, and
 a k x k block for the eigen kernels at k != 2 and for the engine's fixed
 eigen subsets.  The max over every pair or column of whole Grams is read by
@@ -19,11 +19,12 @@ Bernoulli coherence with no Gram at all: one packed ``sample_batch`` call per
 chunk gives each column's sign bits, and both the max over all pairs and the
 fixed pairs come from XOR and popcount of those words
 (``kernels.packed_mutual_coherence``, ``kernels.packed_coherence``), the same
-floats as the lattice Gram.  Gaussian chunks at k <= 2 build no n x n Gram
-either: each is drawn trial-last into its worker's arena, the fixed subsets
-get a Gram over their own <= 2k columns (``kernels.trial_last_grams``,
-bit-equal to the full Gram's entries), and the max over every pair or column is read from the diagonal and
-a pair-only table (``kernels.pair_max``).
+floats as the lattice Gram.  Every Gaussian chunk is drawn trial-last into
+its worker's arena.  At k >= 3 its Gram table is summed there too, after the
+entries, and read in place.  At k <= 2 it builds no n x n Gram: the fixed
+subsets get a Gram over their own <= 2k columns, and the max over every pair
+or column is read from the diagonal and a pair-only table
+(``kernels.pair_max``).
 
 The four Monte-Carlo estimators are selections of one count engine
 (``_tail_counts``): per trial it evaluates a few fixed subsets and, when
@@ -42,27 +43,23 @@ Each curve is one read-only record array of ``TailEstimate``.
 One byte budget for the whole run, ``_CHUNK_BYTES`` (2.5 MiB), sizes the
 chunks (``_chunk_spans``).  It is split across the min(threads, CPUs)
 workers, and a chunk holds max(1, budget // (workers * trial bytes)) trials.
-A trial's bytes (``_trial_bytes``) are its sampled stack of all n columns and
-its Gram over the c columns in use, 8 (m n + c^2), or its packed sign words
-on the Bernoulli coherence path.  A Gaussian trial at k <= 2 counts instead
-what it takes in its worker's arena (``_arena_words``): the sampler's Philox
-state or raw words, which the entries then reuse, or the entries with the
-diagonal, pair table and scratch of ``kernels.pair_max``, whichever is more.
-Each worker's fold allocates one arena for its largest chunk and reuses it
-for every chunk it runs, so a chunk allocates no sampling or table
-temporaries and faults no fresh pages; the arena is freed when the run ends.
-Within a chunk every enumeration of the subsets at k >= 3, exhaustive or
-pruned, walks them in one kind of slice (``_slices``): 256 KiB
-(``_SLICE_BYTES``) of one 8-byte value or bound per matrix and subset, so a
-slice's gathered k x k Grams take k^2 times that, and ``_BLOCK_BYTES``
-(256 MiB) caps them, which binds only at k > 32.  The pruned max also holds
-one ``_workspace`` of eight slice-sized bound tables, 2 MiB at 256 KiB a
-table, and a copy of the chunk's Grams with the trial last.  All of these,
-and the column-block tiles of ``kernels.pair_max`` on wide trials, are per
-worker, outside ``_CHUNK_BYTES``, so threads multiply them.  Each slice is
-filled straight from the lexicographic stream, so no array of every subset is
-built.  A single trial larger than the budget still runs, as a chunk of its
-own.
+One function, ``_trial_words``, gives a trial's words for every kind of
+chunk: packed sign words for Bernoulli coherence, the sampled stack and its
+Gram over the c columns in use, m n + c^2, for the other Bernoulli kernels,
+and what a Gaussian trial takes in its worker's arena.  Each worker's fold
+allocates one arena for its largest chunk and reuses it for every chunk it
+runs, so a Gaussian chunk allocates no sampling or table temporaries and
+faults no fresh pages; the arena is freed when the run ends.  Within a chunk every enumeration of the subsets at
+k >= 3, exhaustive or pruned, walks them in one kind of slice (``_slices``):
+256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound per matrix and
+subset, so a slice's gathered k x k Grams take k^2 times that, and
+``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.  The pruned
+max also holds one ``_workspace`` of eight slice-sized bound tables, 2 MiB at
+256 KiB a table.  All of these, and the column-block tiles of
+``kernels.pair_max`` on wide trials, are per worker, outside
+``_CHUNK_BYTES``, so threads multiply them.  Each slice is filled straight
+from the lexicographic stream, so no array of every subset is built.  A
+single trial larger than the budget still runs, as a chunk of its own.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -72,10 +69,10 @@ eigenvalues are bounded by bordering its lexicographic prefixes, from the
 1 x 1 diagonal up to k (``_bordered_bounds``; Horn & Johnson, *Matrix
 Analysis*, ch. 4), the lower side only for the kernels that read it, and the
 subset gets the kernel's value at those bounds.  The bounds are gathered as
-whole rows of a Gram table with the trial last, into the fixed workspace, so
-no slice allocates a (subsets, trials) array.  The running maximum of each
-matrix starts at the values of subsets grown greedily on the same bounds
-(``_greedy_seeds``).
+whole rows of the chunk's trial-last Gram table, read in place, into the
+fixed workspace, so no slice allocates a (subsets, trials) array.  The
+running maximum of each matrix starts at the values of subsets grown
+greedily on the same bounds (``_greedy_seeds``).
 Slice by slice of the enumeration, a subset is decomposed only when its
 bound, widened by 1e-9 of |bound| + ub_smax for rounding, reaches that
 running maximum, so the maximum and every count are exactly those of
@@ -211,10 +208,11 @@ def _check_k(n, k, kernel: KernelId, cap):
 def _batch_values(grams, kernel: KernelId, subs, rows, picks=None):
     """Kernel values of subsets, read from Gram matrices.
 
-    grams: (B, c, c) from gram_stack; subs: (N, k) int array of indices into
-    its c columns; rows: the row count m of the matrices -> (B, N) array, or
-    with ``picks`` (N,) subs[c] in matrix picks[c] alone -> (N,).  Coherence
-    pairs are read by ``pair_values``; every k x k block is gathered here.
+    grams: (B, c, c) as gram_stack returns them, read in place; subs: (N, k)
+    int array of indices into its c columns; rows: the row count m of the
+    matrices -> (B, N) array, or with ``picks`` (N,) subs[c] in matrix
+    picks[c] alone -> (N,).  Coherence pairs are read by ``pair_values``;
+    every k x k block is gathered here.
     At k = 2 only the engine's fixed eigen subsets come here, so every run
     still calls ``gram_extremes``, which the benchmark's span tracer wraps.
     """
@@ -391,18 +389,19 @@ def _greedy_seeds(grams, kernel: KernelId, k):
 def _max_values(grams, kernel: KernelId, k, rows):
     """Per-matrix max kernel value over all size-k subsets -> (B,), equal to exhaustive evaluation.
 
-    grams: (B, n, n) over all n columns.  At k <= 2 the max over every pair,
-    or column, is read by ``kernels.gram_pair_max``, with no subset stream.
-    At k > m every sigma2_min is exactly 0, so the neg_sigma_min_sq max is
-    -0.0 with no eigvalsh.  Otherwise (k >= 3) this is an exact branch and
-    bound over the slices of ``_slices`` in enumeration order.  The running
-    max is seeded with the values of the ``_greedy_seeds`` subsets.  The Grams are copied once into an (n, n, B)
-    table with the trial last, and one ``_workspace`` of slice size holds
-    every bound: each slice is bounded by ``_subset_reach``, and only the
-    subsets whose widened bound reaches the running max are decomposed.  A
-    skipped subset cannot hold the maximum, and eigvalsh gives each k x k
-    Gram, gathered from ``grams``, the same floats whatever else is in its
-    stack, so the maximum is bit for bit the exhaustive one.
+    grams: (B, n, n) over all n columns, the view of the trial-last table
+    that ``gram_stack`` and ``trial_last_grams`` return, read in place.  At
+    k <= 2 the max over every pair, or column, is read by
+    ``kernels.gram_pair_max``, with no subset stream.  At k > m every
+    sigma2_min is exactly 0, so the neg_sigma_min_sq max is -0.0 with no
+    eigvalsh.  Otherwise (k >= 3) this is an exact branch and bound over the
+    slices of ``_slices`` in enumeration order, its running max seeded with
+    the values of the ``_greedy_seeds`` subsets.  One ``_workspace`` of
+    slice size holds every bound: each slice is bounded by
+    ``_subset_reach``, and only the subsets whose widened bound reaches the
+    running max are decomposed.  A skipped subset cannot hold the maximum,
+    and eigvalsh gives each gathered k x k Gram the same floats whatever
+    else is in its stack, so the maximum is bit for bit the exhaustive one.
     """
     if k <= 2:
         return gram_pair_max(grams, kernel, k, rows)
@@ -413,7 +412,7 @@ def _max_values(grams, kernel: KernelId, k, rows):
     top = functools.reduce(
         np.maximum, (_batch_values(grams, kernel, seed, rows, every) for seed in _greedy_seeds(grams, kernel, k))
     )
-    table = np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+    table = np.moveaxis(grams, 0, -1)
     work = _workspace(_slice_size(n, k, count), count)
     for part in _slices(n, k, count):
         pos, picks = np.nonzero(_subset_reach(table, kernel, part, rows, work) >= top)
@@ -460,28 +459,24 @@ def _estimates(grid, counts, trials):
     return out
 
 
-def _trial_bytes(spec: EnsembleSpec, cols, packed):
-    """Bytes one trial holds in a chunk: its packed sign words, or its sampled stack and its Gram.
+def _trial_words(spec: EnsembleSpec, kernel: KernelId, k, cols, table):
+    """8-byte words one trial takes in a chunk whose Grams span ``cols`` columns; every chunk is sized by this.
 
-    The stack spans all n columns, since all are sampled before those in use
-    are taken; the Gram spans only the ``cols`` columns in use.  Gaussian
-    chunks at k <= 2 hold neither and are sized by ``_arena_words``.
+    Bernoulli: packed sign words for coherence, else the stack of all n
+    columns, all sampled before those in use are taken, and its Gram.
+    Gaussian: the sampler's words (``ensembles.sample_words``), which the
+    entries then reuse, or the entries and what they are read with,
+    whichever is more: at k <= 2 ``kernels.pair_words`` (``table`` None
+    reads no max), at k >= 3 the Grams and scratch of ``trial_last_grams``.
     """
-    if packed:
-        return 8 * spec.n * -(-spec.m // 64)
-    return 8 * (spec.m * spec.n + cols * cols)
-
-
-def _arena_words(spec: EnsembleSpec, k, table):
-    """Float64 words one Gaussian trial at k <= 2 takes in its worker's arena.
-
-    The sampler's words (``ensembles.sample_words``), which its entries then
-    reuse, or the entries and what ``kernels.pair_max`` reads the max with
-    (``kernels.pair_words``), whichever is more; ``table`` None reads no max.
-    """
-    entries = spec.m * spec.n
-    read = 0 if table is None else pair_words(spec.m, spec.n, k, table)
-    return max(sample_words(spec), entries + read)
+    m, n = spec.m, spec.n
+    if spec.family == "bernoulli":
+        return n * -(-m // 64) if kernel.needs_pair else m * n + cols * cols
+    if k <= 2:
+        read = 0 if table is None else pair_words(m, n, k, table)
+    else:
+        read = cols * (cols + 1)
+    return max(sample_words(spec), m * n + read)
 
 
 def _cpus():
@@ -560,11 +555,12 @@ def _tail_counts(
     grid point (ties, +-0.0, +-inf and NaN among them) as long as no value
     is NaN; the kernels yield none from sampled (finite) matrices.  Bernoulli
     coherence builds no Gram: its values are read from the chunk's packed
-    sign words.  Neither does a Gaussian run at k <= 2: its fixed subsets
-    get a Gram over their own columns, and its max is read by
-    ``kernels.pair_max`` from the trial-last entries in the worker's arena,
-    over the pair table when a chunk holds at least n trials, a tile of
-    column blocks a trial at a time otherwise.
+    sign words.  Every Gaussian chunk is drawn trial-last into its worker's
+    arena.  At k >= 3 the Grams over the columns in use are summed there,
+    and the max and the fixed subsets read them in place.  At k <= 2 the
+    fixed subsets get a Gram over their own columns, and the max is read by
+    ``kernels.pair_max``, over the pair table when a chunk holds at least n
+    trials, a tile of column blocks a trial at a time otherwise.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -581,43 +577,45 @@ def _tail_counts(
         raise ValueError(f"a_grid must be one-dimensional, got shape {grid.shape}")
     fixed = np.asarray(fixed, dtype=np.int64).reshape(len(fixed), k)
     packed = kernel.needs_pair and spec.family == "bernoulli"
-    # Gaussian pairs and columns are read without an n x n Gram, in a worker arena
-    arena = spec.family == "gaussian" and k <= 2
-    if cap is None or arena:
+    # every Gaussian chunk is drawn trial-last into its worker's arena
+    arena = spec.family == "gaussian"
+    pairs = arena and k <= 2  # read without an n x n Gram
+    if cap is None or pairs:
         cols = np.unique(fixed)
         local = np.searchsorted(cols, fixed)
     else:
         cols, local = slice(None), fixed
-    if arena:
+    trial_words = functools.partial(_trial_words, spec, kernel, k, spec.n if cap is not None else len(cols))
+    table = None
+    if pairs and cap is not None:
         # the pair table pays when a chunk holds at least n trials
-        table = None
-        if cap is not None:
-            spans = _chunk_spans(trials, threads, 8 * _arena_words(spec, k, True))[1]
-            table = spans[0][1] - spans[0][0] >= spec.n
-        trial_bytes = 8 * _arena_words(spec, k, table)
-    else:
-        trial_bytes = _trial_bytes(spec, spec.n if cap is not None else len(cols), packed)
+        spans = _chunk_spans(trials, threads, 8 * trial_words(True))[1]
+        table = spans[0][1] - spans[0][0] >= spec.n
 
     def chunk_counts(start, stop, work=None):
         if packed:
             words = sample_batch(spec, start, stop, packed=True)
             top = packed_mutual_coherence(words, spec.m) if cap is not None else None
             values = packed_coherence(words, spec.m, fixed) if events else None
-        elif arena:
+        elif pairs:
             stack = sample_batch(spec, start, stop, out=work)
             entries = np.moveaxis(stack, 0, -1)  # (m, n, B), contiguous
             values = _batch_values(trial_last_grams(entries[:, cols]), kernel, local, spec.m) if events else None
             top = pair_max(entries, kernel, k, spec.m, work[stack.size :], table) if cap is not None else None
         else:
-            # one expression, so the sampled stack is freed once its Gram is built
-            grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
+            if arena:
+                stack = sample_batch(spec, start, stop, out=work)
+                grams = trial_last_grams(np.moveaxis(stack, 0, -1)[:, cols], work[stack.size :])
+            else:
+                # one expression, so the sampled stack is freed once its Gram is built
+                grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
             top = _max_values(grams, kernel, k, spec.m) if cap is not None else None
             values = _batch_values(grams, kernel, local, spec.m) if events else None
         stats = [top] if cap is not None else []
         stats += [values[:, list(event)].min(axis=1) for event in events]
         return np.stack([len(v) - np.searchsorted(np.sort(v), grid, side="right") for v in stats])
 
-    return grid, _accumulate_counts(trials, threads, trial_bytes, chunk_counts, arena)
+    return grid, _accumulate_counts(trials, threads, 8 * trial_words(table), chunk_counts, arena)
 
 
 def mc_marginal_tail(

@@ -271,7 +271,7 @@ def test_criterion_8_exponential_tail_oracle():
 def test_criterion_9_fig_coherence_determinism(tmp_path, chunk_plan):
     # 128-trial chunks at --threads 8 make 400 trials four chunks on two
     # workers; --threads 1 gets two chunks, of 256 and 144
-    chunk_plan(EnsembleSpec("bernoulli", 20, 30), COHERENCE, 128, threads=8)
+    chunk_plan(EnsembleSpec("bernoulli", 20, 30), COHERENCE, 2, 128, threads=8)
     base = [
         "fig-coherence", "--m", "20", "--n", "30", "--trials", "400",
         "--a-min", "0.2", "--a-max", "0.9", "--a-steps", "15", "--seed", "9",

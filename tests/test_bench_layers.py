@@ -18,17 +18,20 @@ from uniontight import cli, ustat
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
+# each call and the fewest trial chunks it must run
 _CALLS = [
     pytest.param(["fig-extreme", "--ensemble", "gaussian", "--m", "5", "--n", "10", "--k", "2",
-                  "--trials", "300", "--threads", "2"], id="extreme-gaussian-k2"),
+                  "--trials", "300", "--threads", "2"], 1, id="extreme-gaussian-k2"),
     pytest.param(["fig-extreme", "--ensemble", "gaussian", "--m", "6", "--n", "10", "--k", "4",
-                  "--trials", "20"], id="extreme-gaussian-k4"),
+                  "--trials", "20"], 1, id="extreme-gaussian-k4"),
+    pytest.param(["fig-extreme", "--ensemble", "gaussian", "--m", "10", "--n", "40", "--k", "3",
+                  "--trials", "200", "--threads", "2"], 2, id="extreme-gaussian-k3-chunks"),
     pytest.param(["fig-extreme", "--ensemble", "bernoulli", "--m", "6", "--n", "10", "--k", "3",
-                  "--trials", "50"], id="extreme-bernoulli-k3"),
+                  "--trials", "50"], 1, id="extreme-bernoulli-k3"),
     pytest.param(["fig-coherence", "--ensemble", "bernoulli", "--m", "20", "--n", "30",
-                  "--trials", "50"], id="coherence-bernoulli"),
+                  "--trials", "50"], 1, id="coherence-bernoulli"),
     pytest.param(["fig-coherence", "--ensemble", "gaussian", "--m", "20", "--n", "30",
-                  "--trials", "50"], id="coherence-gaussian"),
+                  "--trials", "50"], 1, id="coherence-gaussian"),
 ]
 
 
@@ -44,8 +47,8 @@ def bench(monkeypatch):
     return importlib.import_module("spans"), importlib.import_module("run")
 
 
-@pytest.mark.parametrize("args", _CALLS)
-def test_traced_call_crosses_every_required_layer(tmp_path, bench, args):
+@pytest.mark.parametrize("args, chunks", _CALLS)
+def test_traced_call_crosses_every_required_layer(tmp_path, bench, args, chunks):
     spans, run = bench
     tracer, main = spans.install(cli, ustat)
     assert main([*args, "--seed", "7", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_OK
@@ -53,4 +56,4 @@ def test_traced_call_crosses_every_required_layer(tmp_path, bench, args):
     missing = set(run.REQUIRED_LAYERS[args[0]]) - recorded
     assert not missing, f"no span recorded for {sorted(missing)}"
     layers = spans.summarise(tracer.spans)
-    assert layers["ustat.chunks"] >= 1 and layers["ensembles.bytes_out"] > 0
+    assert layers["ustat.chunks"] >= chunks and layers["ensembles.bytes_out"] > 0

@@ -106,10 +106,10 @@ def test_fig_extreme_min_kernel_counts_small_singular_values(tmp_path):
     assert emp[-1] == 1.0
 
 
-def test_fig_extreme_byte_determinism(tmp_path, chunk_plan):
+def test_fig_extreme_byte_determinism(tmp_path, chunk_plan, drawn_spans):
     # 64-trial chunks at --threads 3 make 200 trials four chunks on two
     # workers; --threads 1 gets two chunks, of 128 and 72
-    chunk_plan(EnsembleSpec("gaussian", 5, 7), SIGMA_MAX_SQ, 64, threads=3)
+    chunk_plan(EnsembleSpec("gaussian", 5, 7), SIGMA_MAX_SQ, 2, 64, threads=3)
     args = [
         "fig-extreme", "--n", "7", "--trials", "200", "--a-min", "1.0",
         "--a-max", "4.0", "--a-steps", "6", "--seed", "11",
@@ -117,7 +117,10 @@ def test_fig_extreme_byte_determinism(tmp_path, chunk_plan):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     assert _run(args + ["--out", str(first)]) == EXIT_OK
+    assert drawn_spans == [(0, 128), (128, 200)]
+    drawn_spans.clear()
     assert _run(args + ["--out", str(second), "--threads", "3"]) == EXIT_OK
+    assert sorted(drawn_spans) == [(0, 64), (64, 128), (128, 192), (192, 200)]
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -336,7 +339,7 @@ def test_fig_coherence_pinned_bytes(tmp_path, chunk_plan, args, digest):
     # two CPUs and a budget of two workers' chunks of 512 trials of 65 x 40
     # packed signs (80 words of 8 B), so the 1,100-trial case is three chunks
     # on two threads
-    chunk_plan(EnsembleSpec("bernoulli", 65, 40), COHERENCE, 512, threads=2)
+    chunk_plan(EnsembleSpec("bernoulli", 65, 40), COHERENCE, 2, 512, threads=2)
     out = tmp_path / "pinned.csv"
     assert _run(["fig-coherence", *args, "--seed", "7", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -429,18 +432,11 @@ _BENCH_CHUNKS = [
 
 @pytest.mark.usefixtures("chunk_plan")  # two CPUs, the default budget
 @pytest.mark.parametrize("args, chunk", _BENCH_CHUNKS)
-def test_chunk_plan_of_the_benchmark_workloads(tmp_path, monkeypatch, args, chunk):
+def test_chunk_plan_of_the_benchmark_workloads(tmp_path, drawn_spans, args, chunk):
     # extreme_ric and coherence are one chunk each, as they were at 512-trial
     # chunks; extreme_sampling's two workers get at least `chunk` trials each
-    spans = []
-
-    def recording(spec, start, stop, **kwargs):
-        spans.append((start, stop))
-        return sample_batch(spec, start, stop, **kwargs)
-
-    monkeypatch.setattr(ustat, "sample_batch", recording)
     assert _run([*args, "--seed", "7", "--out", str(tmp_path / "x.csv")]) == EXIT_OK
-    spans.sort()
+    spans = sorted(drawn_spans)
     trials = int(args[args.index("--trials") + 1])
     assert [start for start, _ in spans] + [trials] == [0] + [stop for _, stop in spans]
     if trials == chunk:

@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations
 
@@ -188,6 +189,21 @@ def test_packed_mutual_coherence_reaches_both_ends_of_the_lattice():
 def test_gram_stack_is_exactly_symmetric(ensemble):
     grams = gram_stack(sample_batch(EnsembleSpec(ensemble, 50, 100, base_seed=52), 0, 8))
     assert grams.tobytes() == np.ascontiguousarray(np.swapaxes(grams, 1, 2)).tobytes()
+    assert np.moveaxis(grams, 0, -1).flags.c_contiguous  # the trial last in memory
+
+
+# m = 1 is a single row; 10 x 40 is the size of a k >= 3 engine chunk's table
+@pytest.mark.parametrize("m, n, trials", [(1, 3, 5), (7, 12, 40), (10, 40, 9)])
+def test_trial_last_grams_sum_in_row_order_with_and_without_out(m, n, trials):
+    mats = sample_batch(EnsembleSpec("gaussian", m, n, base_seed=67), 0, trials)
+    want = np.stack([functools.reduce(np.add, (np.multiply.outer(row, row) for row in mat)) for mat in mats])
+    entries = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+    words = trials * n * (n + 1)
+    out = np.full(words + 5, np.nan)
+    for grams in (gram_stack(mats), trial_last_grams(entries), trial_last_grams(entries, out)):
+        assert np.moveaxis(grams, 0, -1).flags.c_contiguous
+        assert np.ascontiguousarray(grams).tobytes() == want.tobytes()
+    assert np.shares_memory(grams, out) and np.all(np.isnan(out[words:]))
 
 
 def test_non_finite_entries_rejected():

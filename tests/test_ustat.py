@@ -216,14 +216,19 @@ def test_binomial_mean_for_k_equal_one():
     assert abs(counts.mean() - spec.n * math.exp(-a)) <= 3 * se
 
 
-def test_threads_do_not_change_results(chunk_plan):
-    # 1,200 trials are three chunks of at most 512, on two workers
+def test_threads_do_not_change_results(chunk_plan, drawn_spans):
+    # 1,200 trials are three chunks of at most 512, on two workers; one worker
+    # gets chunks of 1,024
     spec = EnsembleSpec("gaussian", 4, 8, base_seed=14)
     grid = np.linspace(0.5, 4.0, 9)
-    trial_bytes = chunk_plan(spec, SIGMA_MAX_SQ, 512, threads=4)
-    assert ustat._chunk_spans(1_200, 4, trial_bytes) == (2, [(0, 512), (512, 1_024), (1_024, 1_200)])
+    trial_bytes = chunk_plan(spec, SIGMA_MAX_SQ, 2, 512, threads=4)
+    plan = [(0, 512), (512, 1_024), (1_024, 1_200)]
+    assert ustat._chunk_spans(1_200, 4, trial_bytes) == (2, plan)
     serial = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=1_200, threads=1)
+    assert drawn_spans == [(0, 1_024), (1_024, 1_200)]
+    drawn_spans.clear()
     threaded = mc_extreme_tail(spec, SIGMA_MAX_SQ, 2, grid, trials=1_200, threads=4)
+    assert sorted(drawn_spans) == plan
     assert [e.point for e in serial] == [e.point for e in threaded]
 
 
@@ -492,16 +497,17 @@ def _points(run):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_subset_tiling_does_not_change_estimates(monkeypatch, chunk_plan, threads):
+def test_subset_tiling_does_not_change_estimates(monkeypatch, chunk_plan, drawn_spans, threads):
     # 600 trials are two chunks, of 512 and 88; k = 3 of n = 7 is 35 subsets per trial
     spec = EnsembleSpec("gaussian", 4, 7, base_seed=16)
-    trial_bytes = chunk_plan(spec, RIC, 512, threads)
+    trial_bytes = chunk_plan(spec, RIC, 3, 512, threads)
     assert ustat._chunk_spans(600, threads, trial_bytes) == (threads, [(0, 512), (512, 600)])
     grid = np.linspace(0.2, 1.4, 13)
     untiled = (
         _points(extreme_experiment(spec, RIC, 3, grid, trials=600, threads=threads)),
         [e.point for e in mc_extreme_tail(spec, RIC, 3, grid, trials=600, threads=threads)],
     )
+    assert sorted(drawn_spans) == [(0, 512), (0, 512), (512, 600), (512, 600)]
     coh_grid = np.linspace(0.1, 0.9, 9)
     coh = [e.point for e in mc_extreme_tail(spec, COHERENCE, 2, coh_grid, trials=600)]
     # 36,864 B holds one 3 x 3 Gram of 8-byte entries for each of 512 trials, so
@@ -572,7 +578,7 @@ def test_pruned_extreme_counts_match_exhaustive_at_ties(chunk_plan, kernel, thre
     # (600 trials are two chunks; 3 x 7 with k = 4 is rank deficient)
     for ensemble, m, k in (("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)):
         spec = EnsembleSpec(ensemble, m, 7, base_seed=41)
-        chunk_plan(spec, kernel, 512, threads)
+        chunk_plan(spec, kernel, k, 512, threads)
         tops = np.array([subset_values(phi, kernel, k).max() for phi in sample_batch(spec, 0, 600)])
         values = np.unique(tops)
         grid = values[:: max(1, len(values) // 40)]
@@ -592,7 +598,7 @@ def test_event_counts_match_a_recount_at_ties(chunk_plan, kernel, threads):
         cases = [("gaussian", 4, 3), ("bernoulli", 4, 3), ("gaussian", 3, 4)]
     for ensemble, m, k in cases:
         spec = EnsembleSpec(ensemble, m, 7, base_seed=42)
-        chunk_plan(spec, kernel, 512, threads)
+        chunk_plan(spec, kernel, k, 512, threads)
         overlaps = list(range(1, k))
         fixed = [tuple(range(k))] + [canonical_pair(k, i, 7).second for i in overlaps]
         at = [list(subsets(7, k)).index(sub) for sub in fixed]
@@ -848,7 +854,7 @@ def test_tail_count_memory_does_not_grow_with_chunks_times_grid(chunk_plan, thre
     # chunk's counts and stacking them peaked at 184 MiB; a running total
     # holds a few (rows, grid) arrays whatever the chunk count
     spec = EnsembleSpec("gaussian", 5, 10, base_seed=7)
-    chunk_plan(spec, SIGMA_MAX_SQ, 8, threads)
+    chunk_plan(spec, SIGMA_MAX_SQ, 2, 8, threads)
     grid = np.linspace(0.0, 4.0, 20_000)
     tracemalloc.start()
     try:
@@ -896,7 +902,7 @@ def test_threaded_fold_memory_does_not_grow_with_chunks(chunk_plan):
     # 1,000 one-trial chunks on two workers: submitting every chunk at once
     # peaked at 2.5 MiB traced, while one worker (no pool) peaks at 0.11 MiB
     spec = EnsembleSpec("gaussian", 5, 10, base_seed=7)
-    chunk_plan(spec, SIGMA_MAX_SQ, 1, threads=2)
+    chunk_plan(spec, SIGMA_MAX_SQ, 2, 1, threads=2)
     grid = np.linspace(0.0, 4.0, 60)
     tracemalloc.start()
     try:
@@ -905,6 +911,48 @@ def test_threaded_fold_memory_does_not_grow_with_chunks(chunk_plan):
     finally:
         tracemalloc.stop()
     assert peak < 2**18
+
+
+def test_gaussian_eigen_chunks_read_one_arena_table(monkeypatch, drawn_spans):
+    # 700 trials of 10 x 40 at k = 3 are several chunks; each is drawn into
+    # its worker's arena and its Grams summed there, with no (B, m, n) stack
+    # and no gram_stack
+    monkeypatch.setattr(ustat, "gram_stack", _refuse)
+    spec = EnsembleSpec("gaussian", 10, 40, base_seed=7)
+    grid = np.linspace(0.0, 2.0, 41)
+    runs = []
+    for threads in (1, 2, 3):
+        drawn_spans.clear()
+        runs.append(_points(extreme_experiment(spec, RIC, 3, grid, trials=700, threads=threads)))
+        assert len(drawn_spans) >= 2
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_gaussian_eigen_chunk_memory_holds_one_gram_table():
+    # 700 trials of 10 x 40 at k = 3: a fresh stack per chunk, its (B, n, n)
+    # Grams and their trial-last copy peaked at 6.1 MiB; the chunk's one
+    # table in the arena peaks at 4.6 MiB
+    spec = EnsembleSpec("gaussian", 10, 40, base_seed=7)
+    tracemalloc.start()
+    try:
+        extreme_experiment(spec, RIC, 3, np.linspace(0.0, 2.0, 41), trials=700)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
+
+
+def test_pruned_max_reads_the_gram_table_in_place():
+    # 512 trials of 10 x 40 take a 6.25 MiB table, which a copy would add to
+    # the 2 MiB workspace of bounds
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 10, 40, base_seed=7), 0, 512))
+    tracemalloc.start()
+    try:
+        ustat._max_values(grams, RIC, 3, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grams.nbytes / 2
 
 
 def test_exhaustive_max_memory_is_slice_sized():
@@ -959,7 +1007,7 @@ def test_bernoulli_coherence_counts_at_every_lattice_level(chunk_plan, m):
     tops = _exact_coherence_tops(spec, 1_100)
     want = [np.count_nonzero(tops > j) / 1_100 for j in range(m + 1)]
     for threads in (1, 2):
-        chunk_plan(spec, COHERENCE, 512, threads)
+        chunk_plan(spec, COHERENCE, 2, 512, threads)
         est = mc_extreme_tail(spec, COHERENCE, 2, np.arange(m + 1) / m, trials=1_100, threads=threads)
         assert [e.point for e in est] == want
 
@@ -992,7 +1040,7 @@ def test_bernoulli_coherence_reads_packed_signs_once_per_chunk(monkeypatch, chun
     monkeypatch.setattr(ustat, "sample_batch", recording)
     monkeypatch.setattr(ustat, "gram_stack", _refuse)
     spec = EnsembleSpec("bernoulli", 20, 30, base_seed=57)
-    chunk_plan(spec, COHERENCE, 512, threads=1)
+    chunk_plan(spec, COHERENCE, 2, 512, threads=1)
     extreme_experiment(spec, COHERENCE, 2, [0.3, 0.5], trials=1_100)
     assert calls == [{"packed": True}] * math.ceil(1_100 / 512)
 
@@ -1024,7 +1072,7 @@ def test_counts_do_not_depend_on_the_chunk_budget(chunk_plan, threads):
     defaults = [_points(extreme_experiment(*case, trials=101, threads=threads)) for case in cases]
     for (spec, kernel, k, grid), default in zip(cases, defaults):
         for size in (1, 7, 33):
-            trial_bytes = chunk_plan(spec, kernel, size, threads)
+            trial_bytes = chunk_plan(spec, kernel, k, size, threads)
             spans = [(start, min(start + size, 101)) for start in range(0, 101, size)]
             assert ustat._chunk_spans(101, threads, trial_bytes) == (threads, spans)
             assert _points(extreme_experiment(spec, kernel, k, grid, trials=101, threads=threads)) == default
