@@ -321,20 +321,26 @@ def run_fig_extreme(cfg):
     # blocks of whole columns as Python floats: reading records one by one is slow
     columns = [grid, run.extreme.point, run.extreme.std_err, run.marginal.point]
     columns += [run.joint[i].point for i in overlaps]
+    # lambda and the eps bounds depend on (p_hat, q_hats) alone, and a long
+    # grid repeats few of those: each distinct one is evaluated once
+    tails = {}
     # each joint event holds the marginal subset, so no q_hat exceeds p_hat
     for a, point, std_err, p_hat, *q_hats in _rows(*columns):
-        lam = lambda_n(spec.n, k, p_hat)
-        row = [a, point, std_err, p_hat, *q_hats, lam, poisson_nonzero_approx(lam)]
-        if p_hat > 0.0 and full_set:
-            # overlaps infeasible for this n carry zero weight in the eps sums
-            q_full = [0.0] * (k - 1)
-            for pos, i in enumerate(overlaps):
-                q_full[i - 1] = q_hats[pos]
-            report = poisson_report(spec.n, k, a, p_hat, q_full)
-            row += [report.eps_full, report.eps_mid, report.eps_single]
-        else:
-            row += [None, None, None]
-        yield row
+        key = (p_hat, *q_hats)
+        if key not in tails:
+            lam = lambda_n(spec.n, k, p_hat)
+            tail = [lam, poisson_nonzero_approx(lam)]
+            if p_hat > 0.0 and full_set:
+                # overlaps infeasible for this n carry zero weight in the eps sums
+                q_full = [0.0] * (k - 1)
+                for pos, i in enumerate(overlaps):
+                    q_full[i - 1] = q_hats[pos]
+                report = poisson_report(spec.n, k, a, p_hat, q_full)
+                tail += [report.eps_full, report.eps_mid, report.eps_single]
+            else:
+                tail += [None, None, None]
+            tails[key] = tail
+        yield [a, point, std_err, *key, *tails[key]]
 
 
 def run_fig_rates(cfg):

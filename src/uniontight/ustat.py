@@ -49,13 +49,15 @@ Gram over the c columns in use, m n + c^2, for the other Bernoulli kernels,
 and what a Gaussian trial takes in its worker's arena.  Each worker's fold
 allocates one arena for its largest chunk and reuses it for every chunk it
 runs, so a Gaussian chunk allocates no sampling or table temporaries and
-faults no fresh pages; the arena is freed when the run ends.  Within a chunk every enumeration of the subsets at
-k >= 3, exhaustive or pruned, walks them in one kind of slice (``_slices``):
-256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound per matrix and
-subset, so a slice's gathered k x k Grams take k^2 times that, and
-``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.  The pruned
-max also holds one ``_workspace`` of eight slice-sized bound tables, 2 MiB at
-256 KiB a table.  All of these, and the column-block tiles of
+faults no fresh pages; the arena is freed when the run ends.  Within a
+chunk every enumeration at k >= 3, of the subsets or of the pruned max's
+(k - 1)-prefixes, walks them in one kind of slice (``_slices``): 256 KiB
+(``_SLICE_BYTES``) of one 8-byte value or bound per matrix and subset, so a
+slice's gathered k x k Grams take k^2 times that, and ``_BLOCK_BYTES``
+(256 MiB) caps them, which binds only at k > 32.  The pruned max also holds
+one ``_workspace`` of eight slice-sized bound tables, 2 MiB at 256 KiB a
+table, two (n, B) subtree tables, and the index arrays of one batch of
+children, about one more table.  All of these, and the column-block tiles of
 ``kernels.pair_max`` on wide trials, are per worker, outside
 ``_CHUNK_BYTES``, so threads multiply them.  Each slice is filled straight
 from the lexicographic stream, so no array of every subset is built.  A
@@ -64,22 +66,33 @@ single trial larger than the budget still runs, as a chunk of its own.
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
 for the eigen kernels at k >= 3; at k <= 2 the closed form is cheaper than any
-bound and every pair or column is evaluated.  Each subset's extreme
-eigenvalues are bounded by bordering its lexicographic prefixes, from the
-1 x 1 diagonal up to k (``_bordered_bounds``; Horn & Johnson, *Matrix
-Analysis*, ch. 4), the lower side only for the kernels that read it, and the
-subset gets the kernel's value at those bounds.  The bounds are gathered as
-whole rows of the chunk's trial-last Gram table, read in place, into the
-fixed workspace, so no slice allocates a (subsets, trials) array.  The
-running maximum of each matrix starts at the values of subsets grown
-greedily on the same bounds (``_greedy_seeds``).
-Slice by slice of the enumeration, a subset is decomposed only when its
-bound, widened by 1e-9 of |bound| + ub_smax for rounding, reaches that
-running maximum, so the maximum and every count are exactly those of
-exhaustive evaluation.  On 10 x 20 Gaussian matrices (seed 7) 0.23% of
-subsets are decomposed at k = 4 (128 trials) for ``ric`` and 0.21% for
-``sigma_max_sq`` (0.42% and 0.32% at k = 3, 512 trials), and for
-``neg_sigma_min_sq`` 51%, or 12% at k = 3, where most lower bounds on
+bound and every pair or column is evaluated.  A subset's extreme eigenvalues
+are bounded by bordering its lexicographic prefixes, from the 1 x 1 diagonal
+up to k (``_bordered_bounds``; Horn & Johnson, *Matrix Analysis*, ch. 4), the
+lower side only for the kernels that read it, and the subset gets the
+kernel's value at those bounds, widened by 1e-9 of |bound| + ub_smax for
+rounding.  The running maximum of each matrix starts at the values of
+subsets grown greedily on the same bounds (``_greedy_seeds``), and a subset
+is decomposed only when its widened bound reaches it, so the maximum and
+every count are exactly those of exhaustive evaluation.  For ``ric`` and
+``sigma_max_sq`` the walk is over the (k - 1)-prefixes, C(n - 1, k - 1) of
+them, a slice at a time.  Each prefix T is bordered as whole rows of the
+chunk's trial-last Gram table, read in place, and one bound then covers its
+whole subtree, every child T + {s} with s > last(T): the bordered form at
+c = max_{s > last(T)} G_ss and ||b||^2 = the sum over t in T of
+max_{s > t} G_ts^2, two (n, B) tables built once per chunk, with 0 as the
+subtree's bound on lambda_min.  A (prefix, matrix) pair whose widened
+subtree bound falls below the running max is dropped with its children.
+Each matrix's best surviving prefix goes first; the children of the pairs
+still alive after it are bordered from their pair's bounds by single-entry
+gathers, and each matrix's best-bounded child is decomposed before the
+rest.  On 10 x 20 Gaussian matrices (seed 7, k = 4, 128 trials) 5,859 of
+the 124,032 (prefix, trial) pairs survive and 43,057 of the 620,160
+(subset, trial) pairs are bordered; 0.17% of subsets are decomposed for
+``ric`` and 0.14% for ``sigma_max_sq`` (0.35% and 0.25% at k = 3, 512
+trials).  ``neg_sigma_min_sq`` prunes no subtree, since every subtree's
+bound on -sigma2_min is 0, so it bounds every subset a slice at a time as
+whole rows, and decomposes 51%, or 12% at k = 3, where most lower bounds on
 sigma2_min still sit below the smallest sigma2_min found.  At k > m every
 sigma2_min is exactly 0, and the ``neg_sigma_min_sq`` max is -0.0 with no
 ``eigvalsh`` at all.
@@ -248,7 +261,7 @@ def _slices(n, k, matrices):
 
 
 def _workspace(size, matrices):
-    """The fixed buffers of ``_bordered_bounds`` and ``_subset_reach``: eight (size, matrices) float64 tables.
+    """The fixed buffers of the pruned max's bounds: eight (size, matrices) float64 tables.
 
     One ``np.empty``, so a table no slice writes, such as the lower side for
     sigma_max_sq, is never faulted in.
@@ -270,6 +283,32 @@ def _border(side, c, b_sq, half, root, sign):
     side -= half
 
 
+def _border_level(src, diag, edges, parent, upper, lower, out):
+    """Bound subsets bordered by one column from their prefixes' bounds, into out[0] and out[1].
+
+    src is the Gram table as rows, (n * n, B), or as elements, (n * n * B,);
+    diag indexes each subset's new diagonal entry c in it, edges yields j
+    index arrays, one per prefix column, of the entries of its column b
+    against the prefix, and parent indexes its prefix's bounds in upper and
+    lower (None: the upper side alone).  out holds six buffers of the
+    subsets' shape: the two bounds, then c, ||b||^2 and two work buffers.
+    Every gather copies a row of B values or one value.
+    """
+    upper_next, lower_next, c, b_sq, half, root = out
+    # every index is in range by construction; take's default mode="raise"
+    # would fill a temporary of the output's size and copy it into out
+    np.take(src, diag, axis=0, out=c, mode="clip")
+    columns = iter(edges)
+    np.square(np.take(src, next(columns), axis=0, out=b_sq, mode="clip"), out=b_sq)
+    for column in columns:
+        b_sq += np.square(np.take(src, column, axis=0, out=root, mode="clip"), out=root)
+    np.take(upper, parent, axis=0, out=upper_next, mode="clip")
+    _border(upper_next, c, b_sq, half, root, 1)
+    if lower is not None:
+        np.take(lower, parent, axis=0, out=lower_next, mode="clip")
+        _border(lower_next, c, b_sq, half, root, -1)
+
+
 def _bordered_bounds(table, subs, rows, work):
     """(lb_smin, ub_smax), each (N, B): bounds on the extreme eigenvalues of subsets, views into work.
 
@@ -282,19 +321,22 @@ def _bordered_bounds(table, subs, rows, work):
         lambda_max(G_S) <= (U + c)/2 + sqrt(((U - c)/2)^2 + ||b||^2)
         lambda_min(G_S) >= (L + c)/2 - sqrt(((L - c)/2)^2 + ||b||^2),
 
-    both monotone in U and L, so a prefix's bounds may stand in for its
-    eigenvalues.  The bounds are built level by level from the 1 x 1
-    diagonal.  Each level's table holds one row per prefix that occurs in
-    subs, read at the rows where the prefix differs from the previous one;
-    a cumulative sum over those rows gives each subset the rank of its
-    prefix, and its row is taken from the previous level's table into the
-    other of two ping-pong buffers.  sigma2_min is bounded by 0 from below,
-    and is exactly 0 when k > m; rows = 0 asks for that trivial lower bound
-    alone, a read-only broadcast 0 that writes no buffer.
+    both monotone in U, L, c and ||b||^2, so a prefix's bounds may stand in
+    for its eigenvalues.  The bounds are built level by level from the 1 x 1
+    diagonal (``_border_level``).  Each level's table holds one row per
+    prefix that occurs in subs, read at the rows where the prefix differs
+    from the previous one; a cumulative sum over those rows gives each
+    subset the rank of its prefix, and its row is taken from the previous
+    level's table into the other of two ping-pong buffers, started so that
+    the bounds end in work[0] and work[2] and leave the other six free.
+    sigma2_min is bounded by 0 from below, and is exactly 0 when k > m;
+    rows = 0 asks for that trivial lower bound alone, a read-only broadcast
+    0 that writes no buffer.
     """
     n, (size, k) = len(table), subs.shape
     flat = table.reshape(n * n, -1)
-    upper, upper_next, lower, lower_next, c, b_sq, half, root = work[:, :size]
+    upper, upper_next = work[(k - 1) % 2, :size], work[k % 2, :size]
+    lower, lower_next = work[2 + (k - 1) % 2, :size], work[2 + k % 2, :size]
     fresh = np.zeros(size, dtype=bool)
     fresh[0] = True
     for j in range(k):
@@ -303,44 +345,28 @@ def _bordered_bounds(table, subs, rows, work):
         fresh[1:] |= last[1:] != last[:-1]
         starts = np.flatnonzero(fresh)
         s, p = last[starts], len(starts)
-        # every index is in range by construction; take's default mode="raise"
-        # would fill a temporary of the output's size and copy it into out
         if j == 0:
             np.take(flat, s * (n + 1), axis=0, out=upper[:p], mode="clip")
             if k <= rows:
                 np.copyto(lower[:p], upper[:p])
             continue
-        cj, bj, hj, rj = c[:p], b_sq[:p], half[:p], root[:p]
-        np.take(flat, s * (n + 1), axis=0, out=cj, mode="clip")
-        edges = subs[starts, :j] * n + s[:, None]
-        np.square(np.take(flat, edges[:, 0], axis=0, out=bj, mode="clip"), out=bj)
-        for i in range(1, j):
-            bj += np.square(np.take(flat, edges[:, i], axis=0, out=rj, mode="clip"), out=rj)
-        parent = rank[starts]
-        np.take(upper, parent, axis=0, out=upper_next[:p], mode="clip")
-        _border(upper_next[:p], cj, bj, hj, rj, 1)
+        edges = subs[starts, :j].T * n + s
+        out = (upper_next[:p], lower_next[:p], *work[4:, :p])
+        _border_level(flat, s * (n + 1), edges, rank[starts], upper, lower if k <= rows else None, out)
         upper, upper_next = upper_next, upper
-        if k <= rows:
-            np.take(lower, parent, axis=0, out=lower_next[:p], mode="clip")
-            _border(lower_next[:p], cj, bj, hj, rj, -1)
-            lower, lower_next = lower_next, lower
+        lower, lower_next = lower_next, lower
     if k > rows:
         return np.broadcast_to(0.0, upper.shape), upper
     return np.maximum(lower, 0.0, out=lower), upper
 
 
-def _subset_reach(table, kernel: KernelId, subs, rows, work):
-    """(N, B) upper bounds on the kernel values of subs, widened for rounding: a view into work.
+def _reach(kernel: KernelId, lb_smin, ub_smax, bound, slack):
+    """Upper bounds on kernel values from eigenvalue bounds, widened for rounding, worked in bound and slack.
 
-    The bound is spectral_value at the bordered-prefix bounds (lb_smin,
-    ub_smax) of ``_bordered_bounds``, plus _BOUND_MARGIN times
-    |bound| + ub_smax, which covers rounding in the bound and in eigvalsh;
-    it is worked in the buffers the bounds no longer need.  sigma_max_sq
-    reads no lower bound, so it is given the trivial one, 0, which holds for
-    every PSD Gram: rows = 0 takes that branch.
+    The bound is spectral_value at (lb_smin, ub_smax), plus _BOUND_MARGIN
+    times |bound| + ub_smax, which covers rounding in the bound and in
+    eigvalsh.  Returns slack.
     """
-    lb_smin, ub_smax = _bordered_bounds(table, subs, 0 if kernel.variant == "sigma_max_sq" else rows, work)
-    bound, slack = work[4, : len(subs)], work[5, : len(subs)]  # c and b_sq of _bordered_bounds
     if kernel.variant == "sigma_max_sq":
         bound = ub_smax
     elif kernel.variant == "neg_sigma_min_sq":
@@ -352,6 +378,104 @@ def _subset_reach(table, kernel: KernelId, subs, rows, work):
     slack *= _BOUND_MARGIN
     slack += bound
     return slack
+
+
+def _subset_reach(table, kernel: KernelId, subs, rows, work):
+    """(N, B) upper bounds on the kernel values of subs, widened for rounding: a view into work.
+
+    ``_reach`` at the bounds of ``_bordered_bounds``, worked in the buffers
+    those no longer need.  sigma_max_sq reads no lower bound, so it is given
+    the trivial one, 0, which holds for every PSD Gram: rows = 0 takes that
+    branch.
+    """
+    lb_smin, ub_smax = _bordered_bounds(table, subs, 0 if kernel.variant == "sigma_max_sq" else rows, work)
+    return _reach(kernel, lb_smin, ub_smax, work[4, : len(subs)], work[5, : len(subs)])
+
+
+def _subtree_tables(table):
+    """(d, beta), each (n, B): d[j] = max_{s > j} G_ss and beta[t] = max_{s > t} G_ts^2; row n - 1 is 0.
+
+    A child T + {s} of a prefix T has s > last(T), so its new diagonal entry
+    is at most d[last(T)] and its ||b||^2 at most the sum of beta over T.
+    """
+    n = len(table)
+    d, beta = np.zeros((2, n, table.shape[-1]))
+    np.maximum.accumulate(table.reshape(n * n, -1)[:0:-(n + 1)], axis=0, out=d[-2::-1])
+    for t in range(n - 1):
+        np.abs(table[t, t + 1 :]).max(axis=0, out=beta[t])
+    np.square(beta, out=beta)
+    return d, beta
+
+
+def _subtree_reach(kernel: KernelId, heads, ub_smax, tables, work):
+    """(P, B) upper bounds on the kernel values of every child of each prefix, widened: a view into work.
+
+    heads: (P, k - 1) prefixes with upper bounds ub_smax in work[0];
+    tables: ``_subtree_tables``.  Every child T + {s} of T has lambda_max at
+    most the bordered bound of U_T with c = d[last(T)] and ||b||^2 = the sum
+    of beta over T, since that bound grows with c and ||b||^2, and
+    lambda_min at least 0.  ``_reach`` widens the kernel's bound there.
+    """
+    d, beta = tables
+    p = len(heads)
+    bound, c, b_sq, half, root = work[1, :p], work[4, :p], work[5, :p], work[6, :p], work[7, :p]
+    np.take(d, heads[:, -1], axis=0, out=c, mode="clip")
+    np.take(beta, heads[:, 0], axis=0, out=b_sq, mode="clip")
+    for j in range(1, heads.shape[1]):
+        b_sq += np.take(beta, heads[:, j], axis=0, out=root, mode="clip")
+    np.copyto(bound, ub_smax)
+    _border(bound, c, b_sq, half, root, 1)
+    return _reach(kernel, 0.0, bound, c, b_sq)
+
+
+def _children(last, n, cap):
+    """The children s > last[i] of each entry i, in order, as (owner, s) batches of at most cap."""
+    ends = np.cumsum(n - 1 - last)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, cap):
+        s = np.arange(start, min(start + cap, total))
+        owner = np.searchsorted(ends, s, side="right")
+        s -= ends[owner]
+        s += n
+        yield owner, s
+
+
+def _pair_leaves(grams, kernel: KernelId, heads, prefix, trial, bounds, top, rows, work, cap):
+    """Decompose the children of (prefix, matrix) pairs whose widened bound reaches top, raising top in place.
+
+    prefix, trial: the pairs, as positions in heads and in the stack;
+    bounds: (upper, lower) of heads from ``_bordered_bounds``, flattened
+    (lower None for a kernel that reads none).  Each child is bordered by
+    ``_border_level`` from its pair's bounds, gathering single entries of
+    the trial-last table, cap children at a time in work[1] and work[3:].
+    """
+    count, n = grams.shape[0], grams.shape[-1]
+    src, flat = np.moveaxis(grams, 0, -1).reshape(-1), work.reshape(len(work), -1)
+    upper, lower = bounds
+    base = np.take(heads.T, prefix, axis=1)  # (t, 0, 0) of each pair's prefix columns t
+    base *= n * count
+    for owner, s in _children(heads[prefix, -1], n, cap):
+        picks = trial[owner]
+        line = s * count  # (s, trial) within an (n, B) slab of the table
+        line += picks
+        diag = s * (n * count)
+        diag += line
+        parent = prefix[owner] * count
+        parent += picks
+        out = tuple(flat[i, : len(s)] for i in (1, 3, 4, 5, 6, 7))
+        edges = (np.take(row, owner) + line for row in base)
+        _border_level(src, diag, edges, parent, upper, lower, out)
+        del line, diag, parent  # not held through the eigvalsh gathers
+        reach = _reach(kernel, 0.0 if lower is None else out[1], out[0], out[2], out[3])
+        hit = np.flatnonzero(reach >= top[picks])
+        # each matrix's best-bounded child first: it lifts the running max the rest are held to
+        best = np.full(count, -np.inf)
+        np.maximum.at(best, picks[hit], reach[hit])
+        first = reach[hit] == best[picks[hit]]
+        for part in (hit[first], hit[~first]):
+            part = part[reach[part] >= top[picks[part]]]
+            leaves = np.column_stack([heads[prefix[owner[part]]], s[part]])
+            np.maximum.at(top, picks[part], _batch_values(grams, kernel, leaves, rows, picks[part]))
 
 
 def _greedy_seeds(grams, kernel: KernelId, k):
@@ -394,11 +518,19 @@ def _max_values(grams, kernel: KernelId, k, rows):
     k <= 2 the max over every pair, or column, is read by
     ``kernels.gram_pair_max``, with no subset stream.  At k > m every
     sigma2_min is exactly 0, so the neg_sigma_min_sq max is -0.0 with no
-    eigvalsh.  Otherwise (k >= 3) this is an exact branch and bound over the
-    slices of ``_slices`` in enumeration order, its running max seeded with
-    the values of the ``_greedy_seeds`` subsets.  One ``_workspace`` of
-    slice size holds every bound: each slice is bounded by
-    ``_subset_reach``, and only the subsets whose widened bound reaches the
+    eigvalsh.  Otherwise (k >= 3) this is an exact branch and bound, its
+    running max seeded with the values of the ``_greedy_seeds`` subsets and
+    every bound held in one ``_workspace`` of slice size.  neg_sigma_min_sq
+    is bounded subset by subset over the slices of ``_slices``
+    (``_subset_reach``), since no subtree of it can be pruned.  The
+    other kernels walk the slices of the (k - 1)-prefixes instead.  Each
+    prefix is bordered (``_bordered_bounds``), and every (prefix, matrix)
+    pair whose subtree bound (``_subtree_reach``) falls below the running
+    max is dropped with all its children.  Each matrix's best-bounded
+    surviving prefix goes first, and the other pairs are tested again
+    against the max it leaves.  The children of surviving pairs are
+    bordered from their pair's bounds by single-entry gathers
+    (``_pair_leaves``), and only those whose widened bound reaches the
     running max are decomposed.  A skipped subset cannot hold the maximum,
     and eigvalsh gives each gathered k x k Gram the same floats whatever
     else is in its stack, so the maximum is bit for bit the exhaustive one.
@@ -413,10 +545,34 @@ def _max_values(grams, kernel: KernelId, k, rows):
         np.maximum, (_batch_values(grams, kernel, seed, rows, every) for seed in _greedy_seeds(grams, kernel, k))
     )
     table = np.moveaxis(grams, 0, -1)
-    work = _workspace(_slice_size(n, k, count), count)
-    for part in _slices(n, k, count):
-        pos, picks = np.nonzero(_subset_reach(table, kernel, part, rows, work) >= top)
-        np.maximum.at(top, picks, _batch_values(grams, kernel, part[pos], rows, picks))
+    step = _slice_size(n, k, count)
+    work = _workspace(max(step, _slice_size(n - 1, k - 1, count)), count)
+    if kernel.variant == "neg_sigma_min_sq":
+        # a subtree's bound on lambda_min is 0, which prunes no subtree of this kernel
+        for part in _slices(n, k, count):
+            pos, picks = np.nonzero(_subset_reach(table, kernel, part, rows, work) >= top)
+            np.maximum.at(top, picks, _batch_values(grams, kernel, part[pos], rows, picks))
+        return top
+    lower = kernel.variant == "ric" and k <= rows
+    tables = _subtree_tables(table)
+    # a batch of children keeps about eight index words a child outside the
+    # workspace: this many keep them within one more table's bytes
+    cap = max(1, step * count // 8)
+    for heads in _slices(n - 1, k - 1, count):
+        lb_smin, ub_smax = _bordered_bounds(table, heads, rows if lower else 0, work)
+        reach = _subtree_reach(kernel, heads, ub_smax, tables, work)
+        keep = reach >= top
+        # each matrix's best subtree first: its children lift the running max
+        # that the other pairs are then held to
+        best = reach.argmax(axis=0)
+        probe = np.flatnonzero(keep[best, every])
+        keep[best, every] = False
+        pi, pb = np.nonzero(keep)
+        bar = reach[pi, pb]
+        bounds = (ub_smax.reshape(-1), lb_smin.reshape(-1) if lower else None)
+        _pair_leaves(grams, kernel, heads, best[probe], probe, bounds, top, rows, work, cap)
+        alive = bar >= top[pb]
+        _pair_leaves(grams, kernel, heads, pi[alive], pb[alive], bounds, top, rows, work, cap)
     return top
 
 

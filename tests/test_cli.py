@@ -154,6 +154,38 @@ def test_fig_extreme_pinned_bytes(tmp_path, kernel, ensemble, m, n, k, trials, d
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of Gaussian fig-extreme CSVs at seed 7 on the prefix-pruned max paths
+# that no benchmark workload runs: wide n (27 trials, one chunk at one worker),
+# near the subset cap, k = 6, and the min side, which prunes no prefix
+_PINNED_PREFIX_CSVS = [
+    pytest.param(
+        ["--m", "20", "--n", "100", "--k", "3", "--trials", "27"],
+        "35980d99a69370714c51c2b14dba4c62e507c023c96a2c1338f8bb7ff3892048", id="max-20x100-k3",
+    ),
+    pytest.param(
+        ["--m", "20", "--n", "40", "--k", "5", "--trials", "8"],
+        "9b732de616854fa08c366da3ab15a77a8280dfbe0ca19f38af044a55a1196364", id="max-20x40-k5",
+    ),
+    pytest.param(
+        ["--m", "8", "--n", "16", "--k", "6", "--trials", "64"],
+        "f76607e98a3851be0932ed05dd755764a2b0dfb3e33f592ca8b46e4490f80d94", id="max-8x16-k6",
+    ),
+    pytest.param(
+        ["--m", "10", "--n", "20", "--k", "3", "--trials", "512", "--kernel", "neg_sigma_min_sq"],
+        "d68c36675089f27bcc06c9e535e6b5ddbe2255809b1746879cab9e9b387b1d7d", id="min-10x20-k3",
+    ),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("args, digest", _PINNED_PREFIX_CSVS)
+def test_fig_extreme_prefix_paths_pinned_bytes(tmp_path, args, digest, threads):
+    out = tmp_path / "pinned.csv"
+    args = ["fig-extreme", "--ensemble", "gaussian", *args, "--seed", "7", "--threads", str(threads)]
+    assert _run([*args, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fig_extreme_vectorized_sampler_pinned_bytes(tmp_path, threads):
     # 50 words per trial run the Philox rounds on whole trial chunks (1,092

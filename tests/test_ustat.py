@@ -798,6 +798,81 @@ def test_pruned_max_bitwise_with_one_subset_per_slice(monkeypatch, kernel):
     assert _bits(ustat._max_values(grams, kernel, 4, 10)) == _bits(exhaustive)
 
 
+@pytest.mark.parametrize("slice_bytes", [None, 8])
+@pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
+def test_prefix_pruned_max_bitwise_on_lattice_stacks(monkeypatch, kernel, slice_bytes):
+    # many tied subset values, so the subtree and child bounds are often tight;
+    # at 8 bytes each slice holds one prefix and each batch a child or a few
+    if slice_bytes is not None:
+        monkeypatch.setattr(ustat, "_SLICE_BYTES", slice_bytes)
+    for m, n, k, trials in ((5, 9, 3, 200), (6, 10, 4, 100), (4, 9, 5, 60), (7, 11, 3, 150)):
+        grams = gram_stack(sample_batch(EnsembleSpec("bernoulli", m, n, base_seed=45), 0, trials))
+        exhaustive = ustat._batch_values(grams, kernel, np.array(list(subsets(n, k))), m).max(axis=1)
+        assert _bits(ustat._max_values(grams, kernel, k, m)) == _bits(exhaustive)
+
+
+def _prefix_work(monkeypatch):
+    """Counts of one run's (prefix, matrix) pairs whose children are bordered, of those children,
+    and of the subsets bounded one by one as whole rows of matrices."""
+    work = {"pairs": 0, "children": 0, "subset_rows": 0}
+    pair_leaves, subset_reach = ustat._pair_leaves, ustat._subset_reach
+
+    def pairs(grams, kernel, heads, prefix, trial, *args):
+        work["pairs"] += len(prefix)
+        work["children"] += int(np.sum(grams.shape[-1] - 1 - heads[prefix, -1]))
+        return pair_leaves(grams, kernel, heads, prefix, trial, *args)
+
+    def rows(table, kernel, subs, *args):
+        work["subset_rows"] += len(subs)
+        return subset_reach(table, kernel, subs, *args)
+
+    monkeypatch.setattr(ustat, "_pair_leaves", pairs)
+    monkeypatch.setattr(ustat, "_subset_reach", rows)
+    return work
+
+
+@pytest.mark.parametrize("kernel", [RIC, SIGMA_MAX_SQ], ids=lambda kern: kern.variant)
+def test_prefix_test_borders_few_children(monkeypatch, kernel):
+    # 969 prefixes x 128 trials, 4,845 children each: 5,859 pairs pass the
+    # subtree test and 43,057 children are bordered at seed 7, one at a time
+    work = _prefix_work(monkeypatch)
+    seen = _recorded_matrices(monkeypatch)
+    mc_extreme_tail(EnsembleSpec("gaussian", 10, 20, base_seed=7), kernel, 4, [0.5], trials=128)
+    assert 0 < work["pairs"] < 0.06 * 128 * math.comb(19, 3)
+    assert 0 < work["children"] < 0.08 * 128 * math.comb(20, 4)
+    assert work["subset_rows"] == 0
+    assert 0 < sum(seen) < 0.003 * 128 * math.comb(20, 4)
+
+
+def test_min_side_bounds_every_subset_as_whole_rows(monkeypatch):
+    # its subtree bound on lambda_min is 0, so no subtree is pruned
+    work = _prefix_work(monkeypatch)
+    mc_extreme_tail(EnsembleSpec("gaussian", 10, 20, base_seed=7), NEG_SIGMA_MIN_SQ, 3, [-0.5], trials=64)
+    assert work == {"pairs": 0, "children": 0, "subset_rows": math.comb(20, 3)}
+
+
+@pytest.mark.parametrize("kernel", [RIC, SIGMA_MAX_SQ], ids=lambda kern: kern.variant)
+def test_one_matrix_prunes_most_prefixes(monkeypatch, kernel):
+    # 43 of 969 prefixes and 232 of 4,845 children at seed 7
+    work = _prefix_work(monkeypatch)
+    phi = sample_batch(EnsembleSpec("gaussian", 10, 20, base_seed=7), 0, 1)[0]
+    assert _bits(max_over_subsets(phi, kernel, 4)) == _bits(subset_values(phi, kernel, 4).max())
+    assert 0 < work["pairs"] < 0.1 * math.comb(19, 3)
+    assert 0 < work["children"] < 0.1 * math.comb(20, 4)
+
+
+def test_subtree_tables_bound_every_child():
+    # d[j] is the largest diagonal entry after j and beta[t] the largest squared
+    # entry of row t after t, each read per matrix
+    grams = gram_stack(sample_batch(EnsembleSpec("gaussian", 6, 9, base_seed=40), 0, 3))
+    d, beta = ustat._subtree_tables(np.moveaxis(grams, 0, -1))
+    for b, gram in enumerate(grams):
+        diag = np.diagonal(gram)
+        assert list(d[:-1, b]) == [diag[j + 1 :].max() for j in range(8)]
+        assert list(beta[:-1, b]) == [np.square(gram[t, t + 1 :]).max() for t in range(8)]
+        assert d[-1, b] == beta[-1, b] == 0.0
+
+
 @pytest.mark.parametrize("kernel", EIGEN_KERNELS, ids=lambda kern: kern.variant)
 def test_pruned_max_gathers_candidates_under_the_block_budget(monkeypatch, kernel):
     # 64 KiB holds 20 Grams of 20 x 20; a slice would otherwise span all
