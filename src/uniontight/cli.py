@@ -322,7 +322,7 @@ def run_fig_extreme(cfg):
     columns = [grid, run.extreme.point, run.extreme.std_err, run.marginal.point]
     columns += [run.joint[i].point for i in overlaps]
     # lambda and the eps bounds depend on (p_hat, q_hats) alone, and a long
-    # grid repeats few of those: each distinct one is evaluated once
+    # grid repeats few of those: each distinct row suffix is made once
     tails = {}
     # each joint event holds the marginal subset, so no q_hat exceeds p_hat
     for a, point, std_err, p_hat, *q_hats in _rows(*columns):
@@ -339,8 +339,8 @@ def run_fig_extreme(cfg):
                 tail += [report.eps_full, report.eps_mid, report.eps_single]
             else:
                 tail += [None, None, None]
-            tails[key] = tail
-        yield [a, point, std_err, *key, *tails[key]]
+            tails[key] = [_fmt(value) for value in (*key, *tail)]
+        yield [a, point, std_err, *tails[key]]
 
 
 def run_fig_rates(cfg):

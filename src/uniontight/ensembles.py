@@ -30,13 +30,13 @@ generator per ``sample_batch`` call is reseated to each trial's key through
 its ``state`` setter.  ``sample_batch(..., out=buffer)`` runs every step in a
 caller's buffer, the uniform, ``ndtri`` and scale steps (or the sign steps)
 over the raw words' own memory, and leaves the entries at its start with the
-trial last, so a caller that reuses the buffer allocates nothing per call.
+trial last.
 
 ``sample_batch(..., packed=True)`` returns a Bernoulli batch as its sign bits
 instead: each column's m top bits packed into ceil(m/64) uint64 words, from
-the same raw words, drawn and packed ``_WORD_TILE_BYTES`` (16 MiB) of words at
-a time.  The Bernoulli coherence engine reads these with XOR and popcount
-(``kernels.packed_mutual_coherence``) and builds no float matrix.
+the same raw words, drawn and packed ``_WORD_TILE_BYTES`` (16 MiB) of
+sampler words at a time.  The Bernoulli engine reads these at k <= 2 with
+XOR and popcount (``kernels.packed_pair_max``) and builds no float matrix.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_SHIFT63 = np.uint64(63)  # a raw word's top bit is its Bernoulli sign
+_SIGN_BIT = np.uint64(1 << 63)  # a raw word's top bit is its Bernoulli sign
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 # The multipliers of the two lanes of a round, whole and as 32-bit halves, in
 # either lane order: [M0, M1] for lanes [x0, x2], [M1, M0] for [x2, x0].
 _LANE_MUL = np.array([_PHILOX_MUL, _PHILOX_MUL[::-1]], dtype=np.uint64).reshape(2, 2, 1, 1)
@@ -127,8 +128,8 @@ _KEY_STEPS = np.array([[r * w % 2**64 for w in _PHILOX_WEYL] for r in range(_PHI
 # words 0.66-1.02 vs 0.45-0.78), but only runs of that few trials get such
 # chunks.
 _VECTOR_WORDS_MAX = 80
-# Raw words drawn at once by a packed call (16 MiB); a 512-trial chunk of
-# 50 x 100 matrices takes 2 tiles, of 50 x 1000 matrices 13.
+# Sampler words (``sample_words``) drawn at once by a packed call (16 MiB); a
+# 512-trial chunk of 50 x 100 matrices takes 2 tiles, of 50 x 1000 matrices 13.
 _WORD_TILE_BYTES = 1 << 24
 
 
@@ -233,7 +234,8 @@ def _gaussian_from_raw(raw, out=None):
     """ndtri of the 53-bit uniforms ((raw >> 11) + 0.5) 2^-53, strictly inside (0, 1).
 
     Without ``out`` each step makes a new array and raw is left as it is;
-    with it, raw's own memory viewed as float64, every step is worked there.
+    with it, raw's own memory viewed as float64, every step is worked there,
+    though numpy copies raw for the cast, since out overlaps it.
     """
     if out is None:
         return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
@@ -244,12 +246,10 @@ def _gaussian_from_raw(raw, out=None):
 
 
 def _signs_from_raw(raw, out=None):
-    """1 - 2 (raw >> 63): each raw word's top bit as a sign, worked in ``out`` as ``_gaussian_from_raw`` is."""
-    if out is None:
-        return 1.0 - 2.0 * (raw >> _SHIFT63).astype(np.float64)
-    np.right_shift(raw, _SHIFT63, out=raw)
-    np.multiply(raw, 2.0, out=out)
-    return np.subtract(1.0, out, out=out)
+    """1 - 2 (raw >> 63), worked in ``out`` as ``_gaussian_from_raw`` is: the top bit as the sign bit of 1.0, no cast."""
+    bits = np.bitwise_and(raw, _SIGN_BIT, out=None if out is None else raw)
+    bits |= _ONE_BITS
+    return bits.view(np.float64)
 
 
 def sample_matrix(spec: EnsembleSpec, trial_index: int) -> MatrixSample:
@@ -290,16 +290,17 @@ def _packed_signs(spec, start, count):
 
     Bit i % 64 of word i // 64 of column j is the top bit of entry (i, j), and
     the unused high bits of the last word are 0.  The raw words are drawn and
-    packed _WORD_TILE_BYTES of them at a time, at least one trial per tile.
+    packed a tile of trials at a time, at least one, whose ``sample_words``
+    take at most _WORD_TILE_BYTES.
     """
     m, n = spec.m, spec.n
     words = np.zeros((count, n, -(-m // 64)), dtype=np.uint64)
-    step = max(1, _WORD_TILE_BYTES // (m * n * 8))
+    step = max(1, _WORD_TILE_BYTES // (sample_words(spec) * 8))
     for first in range(0, count, step):
         tile = words[first : first + step]
         raws = _raw_words(spec.base_seed, start + first, len(tile), m * n).reshape(len(tile), m, n)
         for i in range(m):
-            tile[:, :, i // 64] |= (raws[:, i] >> _SHIFT63) << np.uint64(i % 64)
+            tile[:, :, i // 64] |= (raws[:, i] & _SIGN_BIT) >> np.uint64(63 - i % 64)
         del raws  # so that the next tile's words are not drawn beside these
     return words
 

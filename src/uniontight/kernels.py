@@ -1,29 +1,27 @@
-"""Subset kernels, read from Gram matrices or, for Bernoulli coherence, from sign bits.
+"""Subset kernels, read from Gram matrices or, for Bernoulli pairs and columns, from sign bits.
 
 A kernel is a column-permutation-invariant function of an m x k column
 submatrix A_S.  Every kernel is evaluated from the Gram matrix G = A^T A
-(Bernoulli coherence in the Monte-Carlo engine from its integer entries, see
-"Packed signs" below):
+(Bernoulli kernels at k <= 2 in the Monte-Carlo engine from its integer
+entries, see "Packed signs" below):
 ``gram_stack`` builds one n x n Gram per matrix, the eigen kernels take the
 extreme eigenvalues of its k x k blocks G[S, S] (``gram_extremes``; at k = 2
 the closed form ``pair_extremes``), and every column pair is read one way,
 from G_ii, G_jj and G_ij alone (``_pair_kernel``): the coherence
 |G_ij| / sqrt(G_ii G_jj) and the eigen kernels' closed form, worked in place.
 ``pair_values`` reads listed pairs of whole Grams, and ``gram_pair_max`` the
-max over every pair (or, at k = 1, column) of whole Grams, from index tiles.
-The single-submatrix functions are thin wrappers over the same primitives.
-Every stack's Grams have one layout, an (n, n, B) table with the trial last
-read through its (B, n, n) view, from ``gram_stack`` or summed in a worker's
-arena (``trial_last_grams``).  A non-lattice entry G_ij sums the row
+max over every pair (or, at k = 1, column) of a caller's whole Grams, from
+index tiles.  The single-submatrix functions are thin wrappers over the same
+primitives.  Every stack's Grams have one layout, an (n, n, B) table with
+the trial last read through its (B, n, n) view, from ``gram_stack``, in a
+new array or a worker's arena.  A non-lattice entry G_ij sums the row
 products in row order, so its bits do not depend on the columns beside it.
 
 Pairs without a Gram: the Monte-Carlo engine reads a Gaussian chunk's max at
 k <= 2 with ``pair_max``, from its entries with the trial last, each entry
-summed in the same row order.  A chunk of many trials gets the pair-only
-Gram table: the diagonal (n, B) and every pair i < j as an (n(n-1)/2, B)
-row, read in place over long contiguous trial rows.  A chunk of few, wide
-trials is read a trial at a time, a tile of column blocks under
-``_PAIR_TILE_BYTES`` at a time.
+summed in the same row order: over the pair-only Gram table of a chunk of
+many trials, or a trial and a tile of column blocks at a time in a chunk of
+few, wide trials.
 
 Four variants are supported:
 
@@ -47,14 +45,13 @@ correctly rounded lattice value j/m, every diagonal entry is exactly 1, and
 the coherence of a pair is exactly fl(|j|/m).  A threshold a = j/m is then a
 true tie and resolves as 0.
 
-Packed signs: the Monte-Carlo engine reads Bernoulli coherence without any
-Gram.  For columns packed as sign bits (``sample_batch(..., packed=True)``)
-the inner product of two columns is m - 2 d, where d is the Hamming distance
-(popcount of the XOR) of their bits, so ``packed_coherence`` and
-``packed_mutual_coherence`` give fl(|m - 2 d| / m), the same floats as the
-lattice Gram path.  The eigen kernels keep the float Gram: a popcount Gram
-expanded to float was slower there.  Matrices passed in by callers
-(``subset_values``, ``max_over_subsets``) keep the lattice Gram path.
+Packed signs: the Monte-Carlo engine reads every Bernoulli kernel at k <= 2
+without any Gram.  For columns packed as sign bits (``sample_batch(...,
+packed=True)``) the inner product of two columns is J = m - 2 d, where d is
+the Hamming distance (popcount of the XOR) of their bits, and their lattice
+Gram is [[1, J/m], [J/m, 1]]: ``packed_pair_values`` and ``packed_pair_max``
+give the same floats as the lattice Gram path.  Matrices passed in by
+callers (``subset_values``, ``max_over_subsets``) keep that path.
 """
 
 from __future__ import annotations
@@ -103,23 +100,26 @@ def _checked(a_sub):
     return a
 
 
-def gram_stack(mats: np.ndarray) -> np.ndarray:
-    """Gram matrices A^T A of a (B, m, n) stack of matrices -> (B, n, n), the axis-0 view of (n, n, B) memory.
+def gram_stack(mats: np.ndarray, out=None) -> np.ndarray:
+    """Gram matrices A^T A of a (B, m, c) stack of matrices -> (B, c, c), the axis-0 view of (c, c, B) memory.
 
     A stack whose entries all have magnitude entry_scale(m) gets the exact
-    lattice Gram (S^T S) / m built from its signs S (see the module notes);
-    any other goes through ``trial_last_grams``.
+    lattice Gram (S^T S) / m of its signs S, taken over the entries when
+    ``out`` (at least B c (c + 1) words) is given; any other stack goes
+    through ``trial_last_grams``.
     """
-    count, m, n = mats.shape
+    count, m, c = mats.shape
     scale = entry_scale(m)
-    # the scalar test rejects Gaussian stacks without a pass over the array
-    if abs(mats.flat[0]) == scale and np.all(np.abs(mats) == scale):
-        signs = np.sign(mats)
-        grams = np.moveaxis(np.empty((n, n, count)), -1, 0)
-        # the batched matmul runs faster on a contiguous left factor; the sums stay exact
-        np.matmul(np.ascontiguousarray(np.swapaxes(signs, -1, -2)), signs, out=grams)
-        return np.divide(grams, m, out=grams)
-    return trial_last_grams(np.moveaxis(mats, 0, -1))
+    entries = np.moveaxis(mats, 0, -1)
+    # the scalar test rejects Gaussian stacks without a pass over the array,
+    # and the counts hold one byte an entry at a time
+    if abs(mats.flat[0]) != scale or np.count_nonzero(mats == scale) + np.count_nonzero(mats == -scale) != mats.size:
+        return trial_last_grams(entries, out)
+    # trial-last signs: the batched product is fast on whole trial rows, and its integer sums are exact
+    signs = np.moveaxis(np.copysign(1.0, entries, out=None if out is None else entries, order="C"), -1, 0)
+    grams = np.moveaxis(np.empty((c, c, count)) if out is None else out[: c * c * count].reshape(c, c, count), -1, 0)
+    np.matmul(np.swapaxes(signs, -1, -2), signs, out=grams)
+    return np.divide(grams, m, out=grams)
 
 
 def trial_last_grams(entries: np.ndarray, out=None) -> np.ndarray:
@@ -370,11 +370,6 @@ def gram_pair_max(grams: np.ndarray, kernel: KernelId, k, rows=None) -> np.ndarr
     return functools.reduce(np.maximum, parts)
 
 
-def gram_mutual_coherence(grams: np.ndarray) -> np.ndarray:
-    """Coherence max over all column pairs of each Gram, clipped at 1; shape (B,): ``gram_pair_max`` at k = 2."""
-    return gram_pair_max(grams, COHERENCE, 2)
-
-
 def _distances(diff):
     """Hamming distances of XORed packed sign words (..., W) -> (...)."""
     counts = np.bitwise_count(diff)
@@ -382,33 +377,52 @@ def _distances(diff):
     return counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.int64)
 
 
-def packed_coherence(words: np.ndarray, m: int, pairs: np.ndarray) -> np.ndarray:
-    """Coherence |m - 2 d| / m, clipped at 1, of listed column pairs of packed signs.
+def _lattice_pair_values(kernel: KernelId, inner, m):
+    """Kernel values of lattice pairs from their integer inner products J: ``_pair_kernel`` at (1, 1, fl(|J|/m)).
 
-    words: (B, n, W) from ``sample_batch(..., packed=True)``; pairs: (P, 2)
-    int array -> (B, P).  d is the Hamming distance between the two columns'
-    sign bits, so m - 2 d is their exact integer inner product and the value
-    is bit for bit the coherence ``pair_values`` reads from the lattice Gram.
+    A pair's lattice Gram [[1, J/m], [J/m, 1]] is exact but for fl(J/m), no
+    step of the kernel reads the sign of J, and no coherence exceeds 1.
     """
-    if pairs.shape[1] != 2:
+    gij = np.abs(inner) / m
+    return _pair_kernel(kernel, np.ones_like(gij), np.ones_like(gij), gij, m)
+
+
+def packed_pair_values(words: np.ndarray, kernel: KernelId, pairs: np.ndarray, m: int) -> np.ndarray:
+    """Kernel values of listed column pairs (k = 2) or columns (k = 1) of packed signs -> (B, P).
+
+    words: (B, n, W) from ``sample_batch(..., packed=True)``; pairs: (P, k).
+    With d the Hamming distance of two columns' sign bits, m - 2 d is their
+    integer inner product.  A lattice column's Gram is exactly 1, so at
+    k = 1 every value is ``spectral_value`` at (1, 1).
+    """
+    k = pairs.shape[1]
+    if kernel.needs_pair and k != 2:
         raise ValueError("coherence kernel requires k = 2")
+    if k == 1:
+        return np.full((len(words), len(pairs)), spectral_value(kernel, 1.0, 1.0))
     d = _distances(words[:, pairs[:, 0]] ^ words[:, pairs[:, 1]])
-    values = np.abs(m - 2 * d.astype(np.int64)) / m
-    return np.minimum(values, 1.0, out=values)
+    return _lattice_pair_values(kernel, m - 2 * d.astype(np.int64), m)
 
 
-def packed_mutual_coherence(words: np.ndarray, m: int) -> np.ndarray:
-    """Coherence max over all column pairs of packed signs, clipped at 1; shape (B,).
+def packed_pair_max(words: np.ndarray, kernel: KernelId, k, m: int) -> np.ndarray:
+    """Per-trial max kernel value over all column pairs (k = 2) or columns (k = 1) of packed signs -> (B,).
 
     words: (B, n, W) from ``sample_batch(..., packed=True)``.  One loop over
     columns i XORs column i with the columns after it and keeps each trial's
-    running min and max Hamming distance d; the max of |m - 2 d| over pairs
-    is max(m - 2 min d, 2 max d - m).  Divided by m once, it is bit for bit
-    gram_mutual_coherence of the lattice Grams, with no Gram built.
+    running min and max Hamming distance d; the max of |J| = |m - 2 d| over
+    pairs is max(m - 2 min d, 2 max d - m).  Each step of
+    ``_lattice_pair_values``, fl(|J|/m) and then those of ``pair_extremes``
+    and the kernel, is correctly rounded and monotone in |J|, so the max
+    over pairs is its value at the max |J|: bit for bit ``gram_pair_max`` of
+    the lattice Grams.
     """
     count, n = words.shape[:2]
+    if kernel.needs_pair and k != 2:
+        raise ValueError("coherence kernel requires k = 2")
+    if k == 1:
+        return np.full(count, spectral_value(kernel, 1.0, 1.0))
     if n < 2:
-        raise ValueError("coherence kernel needs at least two columns")
+        raise ValueError("a pair kernel needs at least two columns")
     # (n, B, W): each column's words for every trial in one contiguous block
     cols = np.ascontiguousarray(np.swapaxes(words, 0, 1))
     lo, hi = np.full(count, m, dtype=np.int64), np.zeros(count, dtype=np.int64)
@@ -416,8 +430,7 @@ def packed_mutual_coherence(words: np.ndarray, m: int) -> np.ndarray:
         d = _distances(cols[i + 1 :] ^ cols[i])
         np.minimum(lo, d.min(axis=0), out=lo)
         np.maximum(hi, d.max(axis=0), out=hi)
-    top = np.maximum(m - 2 * lo, 2 * hi - m) / m
-    return np.minimum(top, 1.0, out=top)
+    return _lattice_pair_values(kernel, np.maximum(m - 2 * lo, 2 * hi - m), m)
 
 
 def spectral_value(kernel: KernelId, smin, smax):

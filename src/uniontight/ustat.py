@@ -11,20 +11,25 @@ subsets use, all n when every subset is enumerated, are one trial-last table
 (``kernels.gram_stack``), and every subset's value is read from it: a
 pair as G_ii, G_jj and G_ij (``kernels.pair_values``), for every kernel, and
 a k x k block for the eigen kernels at k != 2 and for the engine's fixed
-eigen subsets.  The max over every pair or column of whole Grams is read by
-``kernels.gram_pair_max``, from index tiles rather than a subset stream.
-For +-1/sqrt(m) matrices the Gram is the exact lattice one, so values sit
-exactly on j/m and ties at a = j/m resolve as 0.  The engine reads
-Bernoulli coherence with no Gram at all: one packed ``sample_batch`` call per
-chunk gives each column's sign bits, and both the max over all pairs and the
-fixed pairs come from XOR and popcount of those words
-(``kernels.packed_mutual_coherence``, ``kernels.packed_coherence``), the same
-floats as the lattice Gram.  Every Gaussian chunk is drawn trial-last into
-its worker's arena.  At k >= 3 its Gram table is summed there too, after the
-entries, and read in place.  At k <= 2 it builds no n x n Gram: the fixed
-subsets get a Gram over their own <= 2k columns, and the max over every pair
-or column is read from the diagonal and a pair-only table
-(``kernels.pair_max``).
+eigen subsets.  The max over every pair or column of a caller's whole Grams
+is read by ``kernels.gram_pair_max``, from index tiles rather than a subset
+stream.  For +-1/sqrt(m) matrices the Gram is the exact lattice one, so
+values sit exactly on j/m and ties at a = j/m resolve as 0.
+
+The engine's chunks are of three kinds, chosen by the family and k:
+
+- Bernoulli, k <= 2: no Gram at all.  One packed ``sample_batch`` call
+  gives each column's sign bits, and both the max over all pairs or columns
+  and the fixed subsets come from XOR and popcount of those words
+  (``kernels.packed_pair_max``, ``kernels.packed_pair_values``), the same
+  floats as the lattice Gram, for every kernel.
+- Gaussian, k <= 2: drawn trial-last into its worker's arena, with no
+  n x n Gram.  The fixed subsets get a Gram over their own <= 2k columns,
+  and the max over every pair or column is read from the diagonal and a
+  pair-only table (``kernels.pair_max``).
+- k >= 3, both families: drawn trial-last into its worker's arena, and
+  ``kernels.gram_stack`` writes its Gram table there too, after the
+  entries; the max and the fixed subsets read it in place.
 
 The four Monte-Carlo estimators are selections of one count engine
 (``_tail_counts``): per trial it evaluates a few fixed subsets and, when
@@ -44,24 +49,23 @@ One byte budget for the whole run, ``_CHUNK_BYTES`` (2.5 MiB), sizes the
 chunks (``_chunk_spans``).  It is split across the min(threads, CPUs)
 workers, and a chunk holds max(1, budget // (workers * trial bytes)) trials.
 One function, ``_trial_words``, gives a trial's words for every kind of
-chunk: packed sign words for Bernoulli coherence, the sampled stack and its
-Gram over the c columns in use, m n + c^2, for the other Bernoulli kernels,
-and what a Gaussian trial takes in its worker's arena.  Each worker's fold
-allocates one arena for its largest chunk and reuses it for every chunk it
-runs, so a Gaussian chunk allocates no sampling or table temporaries and
-faults no fresh pages; the arena is freed when the run ends.  Within a
-chunk every enumeration at k >= 3, of the subsets or of the pruned max's
-(k - 1)-prefixes, walks them in one kind of slice (``_slices``): 256 KiB
-(``_SLICE_BYTES``) of one 8-byte value or bound per matrix and subset, so a
-slice's gathered k x k Grams take k^2 times that, and ``_BLOCK_BYTES``
-(256 MiB) caps them, which binds only at k > 32.  The pruned max also holds
-one ``_workspace`` of eight slice-sized bound tables, 2 MiB at 256 KiB a
-table, two (n, B) subtree tables, and the index arrays of one batch of
-children, about one more table.  All of these, and the column-block tiles of
-``kernels.pair_max`` on wide trials, are per worker, outside
-``_CHUNK_BYTES``, so threads multiply them.  Each slice is filled straight
-from the lexicographic stream, so no array of every subset is built.  A
-single trial larger than the budget still runs, as a chunk of its own.
+chunk: packed sign words for Bernoulli at k <= 2, and what a trial of the
+other two kinds takes in its worker's arena.  Each worker's fold allocates
+one arena for its largest chunk and reuses it for every chunk it runs, so
+such a chunk allocates no table temporaries; the arena is freed when the
+run ends.  Within a chunk every enumeration at k >= 3, of the subsets or of
+the pruned max's (k - 1)-prefixes, walks them in one kind of slice
+(``_slices``): 256 KiB (``_SLICE_BYTES``) of one 8-byte value or bound per
+matrix and subset, so a slice's gathered k x k Grams take k^2 times that,
+and ``_BLOCK_BYTES`` (256 MiB) caps them, which binds only at k > 32.  The
+pruned max also holds one ``_workspace`` of eight slice-sized bound tables,
+2 MiB at 256 KiB a table, two (n, B) subtree tables, and the index arrays of
+one batch of children, about one more table.  All of these, the
+column-block tiles of ``kernels.pair_max`` on wide trials and the packed
+path's word tiles are per worker, outside ``_CHUNK_BYTES``, so threads
+multiply them.  Each slice is filled straight from the lexicographic
+stream, so no array of every subset is built.  A single trial larger than
+the budget still runs, as a chunk of its own.
 
 The max over all subsets (``_max_values``, also behind ``max_over_subsets``)
 is an exact branch and bound wherever the kernel needs ``eigvalsh``, that is
@@ -117,8 +121,8 @@ from .kernels import (
     gram_extremes,
     gram_pair_max,
     gram_stack,
-    packed_coherence,
-    packed_mutual_coherence,
+    packed_pair_max,
+    packed_pair_values,
     pair_max,
     pair_values,
     pair_words,
@@ -226,8 +230,9 @@ def _batch_values(grams, kernel: KernelId, subs, rows, picks=None):
     matrices -> (B, N) array, or with ``picks`` (N,) subs[c] in matrix
     picks[c] alone -> (N,).  Coherence pairs are read by ``pair_values``;
     every k x k block is gathered here.
-    At k = 2 only the engine's fixed eigen subsets come here, so every run
-    still calls ``gram_extremes``, which the benchmark's span tracer wraps.
+    At k = 2 only the Gaussian engine's fixed eigen subsets come here, so
+    every Gaussian run still calls ``gram_extremes``, which the benchmark's
+    span tracer wraps.
     """
     if kernel.needs_pair:
         return pair_values(grams, kernel, subs)
@@ -514,26 +519,19 @@ def _max_values(grams, kernel: KernelId, k, rows):
     """Per-matrix max kernel value over all size-k subsets -> (B,), equal to exhaustive evaluation.
 
     grams: (B, n, n) over all n columns, the view of the trial-last table
-    that ``gram_stack`` and ``trial_last_grams`` return, read in place.  At
-    k <= 2 the max over every pair, or column, is read by
-    ``kernels.gram_pair_max``, with no subset stream.  At k > m every
-    sigma2_min is exactly 0, so the neg_sigma_min_sq max is -0.0 with no
-    eigvalsh.  Otherwise (k >= 3) this is an exact branch and bound, its
-    running max seeded with the values of the ``_greedy_seeds`` subsets and
-    every bound held in one ``_workspace`` of slice size.  neg_sigma_min_sq
-    is bounded subset by subset over the slices of ``_slices``
-    (``_subset_reach``), since no subtree of it can be pruned.  The
-    other kernels walk the slices of the (k - 1)-prefixes instead.  Each
-    prefix is bordered (``_bordered_bounds``), and every (prefix, matrix)
-    pair whose subtree bound (``_subtree_reach``) falls below the running
-    max is dropped with all its children.  Each matrix's best-bounded
-    surviving prefix goes first, and the other pairs are tested again
-    against the max it leaves.  The children of surviving pairs are
-    bordered from their pair's bounds by single-entry gathers
-    (``_pair_leaves``), and only those whose widened bound reaches the
-    running max are decomposed.  A skipped subset cannot hold the maximum,
-    and eigvalsh gives each gathered k x k Gram the same floats whatever
-    else is in its stack, so the maximum is bit for bit the exhaustive one.
+    that ``gram_stack`` returns, read in place.  At k <= 2 the max over
+    every pair, or column, is read by ``kernels.gram_pair_max``, with no
+    subset stream.  At k > m every sigma2_min is exactly 0, so the
+    neg_sigma_min_sq max is -0.0 with no eigvalsh.  Otherwise (k >= 3) this
+    is the exact branch and bound of the module notes, its running max
+    seeded with the values of the ``_greedy_seeds`` subsets and every bound
+    held in one ``_workspace`` of slice size: neg_sigma_min_sq bounds each
+    subset (``_subset_reach``); the other kernels border the prefixes
+    (``_bordered_bounds``), drop the (prefix, matrix) pairs whose subtree
+    bound (``_subtree_reach``) falls below the running max, and border the
+    children of the rest (``_pair_leaves``).  eigvalsh gives each gathered
+    k x k Gram the same floats whatever else is in its stack, so the
+    maximum is bit for bit the exhaustive one.
     """
     if k <= 2:
         return gram_pair_max(grams, kernel, k, rows)
@@ -556,8 +554,9 @@ def _max_values(grams, kernel: KernelId, k, rows):
     lower = kernel.variant == "ric" and k <= rows
     tables = _subtree_tables(table)
     # a batch of children keeps about eight index words a child outside the
-    # workspace: this many keep them within one more table's bytes
-    cap = max(1, step * count // 8)
+    # workspace: this many keep them within one more table's bytes, but at
+    # least a slice's worth, still within the step x B that _BLOCK_BYTES covers
+    cap = max(step, step * count // 8)
     for heads in _slices(n - 1, k - 1, count):
         lb_smin, ub_smax = _bordered_bounds(table, heads, rows if lower else 0, work)
         reach = _subtree_reach(kernel, heads, ub_smax, tables, work)
@@ -618,17 +617,16 @@ def _estimates(grid, counts, trials):
 def _trial_words(spec: EnsembleSpec, kernel: KernelId, k, cols, table):
     """8-byte words one trial takes in a chunk whose Grams span ``cols`` columns; every chunk is sized by this.
 
-    Bernoulli: packed sign words for coherence, else the stack of all n
-    columns, all sampled before those in use are taken, and its Gram.
-    Gaussian: the sampler's words (``ensembles.sample_words``), which the
-    entries then reuse, or the entries and what they are read with,
-    whichever is more: at k <= 2 ``kernels.pair_words`` (``table`` None
-    reads no max), at k >= 3 the Grams and scratch of ``trial_last_grams``.
+    Bernoulli at k <= 2: packed sign words.  Otherwise the sampler's words
+    (``ensembles.sample_words``), which the entries then reuse, or the
+    entries and what they are read with, whichever is more: at k <= 2
+    ``kernels.pair_words`` (``table`` None reads no max), at k >= 3 the
+    Grams and scratch of ``gram_stack``.
     """
     m, n = spec.m, spec.n
-    if spec.family == "bernoulli":
-        return n * -(-m // 64) if kernel.needs_pair else m * n + cols * cols
     if k <= 2:
+        if spec.family == "bernoulli":
+            return n * -(-m // 64)
         read = 0 if table is None else pair_words(m, n, k, table)
     else:
         read = cols * (cols + 1)
@@ -709,14 +707,10 @@ def _tail_counts(
     is the min over the subsets it names: every one of them exceeds a
     exactly when their min does.  The rule equals ``1{value > a}`` at every
     grid point (ties, +-0.0, +-inf and NaN among them) as long as no value
-    is NaN; the kernels yield none from sampled (finite) matrices.  Bernoulli
-    coherence builds no Gram: its values are read from the chunk's packed
-    sign words.  Every Gaussian chunk is drawn trial-last into its worker's
-    arena.  At k >= 3 the Grams over the columns in use are summed there,
-    and the max and the fixed subsets read them in place.  At k <= 2 the
-    fixed subsets get a Gram over their own columns, and the max is read by
-    ``kernels.pair_max``, over the pair table when a chunk holds at least n
-    trials, a tile of column blocks a trial at a time otherwise.
+    is NaN; the kernels yield none from sampled (finite) matrices.  Each
+    chunk is of one of the three kinds in the module notes; a Gaussian
+    chunk at k <= 2 reads the max over the pair table when it holds at least
+    n trials, a tile of column blocks a trial at a time otherwise.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -732,18 +726,13 @@ def _tail_counts(
     if grid.ndim != 1:
         raise ValueError(f"a_grid must be one-dimensional, got shape {grid.shape}")
     fixed = np.asarray(fixed, dtype=np.int64).reshape(len(fixed), k)
-    packed = kernel.needs_pair and spec.family == "bernoulli"
-    # every Gaussian chunk is drawn trial-last into its worker's arena
-    arena = spec.family == "gaussian"
-    pairs = arena and k <= 2  # read without an n x n Gram
-    if cap is None or pairs:
-        cols = np.unique(fixed)
-        local = np.searchsorted(cols, fixed)
-    else:
-        cols, local = slice(None), fixed
+    packed = spec.family == "bernoulli" and k <= 2
+    # the columns the Grams span, all n for the max at k >= 3, and the fixed subsets' positions among them
+    cols = np.unique(fixed) if cap is None or k <= 2 else slice(None)
+    local = np.searchsorted(np.arange(spec.n)[cols], fixed)
     trial_words = functools.partial(_trial_words, spec, kernel, k, spec.n if cap is not None else len(cols))
     table = None
-    if pairs and cap is not None:
+    if k <= 2 and not packed and cap is not None:
         # the pair table pays when a chunk holds at least n trials
         spans = _chunk_spans(trials, threads, 8 * trial_words(True))[1]
         table = spans[0][1] - spans[0][0] >= spec.n
@@ -751,27 +740,23 @@ def _tail_counts(
     def chunk_counts(start, stop, work=None):
         if packed:
             words = sample_batch(spec, start, stop, packed=True)
-            top = packed_mutual_coherence(words, spec.m) if cap is not None else None
-            values = packed_coherence(words, spec.m, fixed) if events else None
-        elif pairs:
+            top = packed_pair_max(words, kernel, k, spec.m) if cap is not None else None
+            values = packed_pair_values(words, kernel, fixed, spec.m) if events else None
+        else:
             stack = sample_batch(spec, start, stop, out=work)
             entries = np.moveaxis(stack, 0, -1)  # (m, n, B), contiguous
-            values = _batch_values(trial_last_grams(entries[:, cols]), kernel, local, spec.m) if events else None
-            top = pair_max(entries, kernel, k, spec.m, work[stack.size :], table) if cap is not None else None
-        else:
-            if arena:
-                stack = sample_batch(spec, start, stop, out=work)
-                grams = trial_last_grams(np.moveaxis(stack, 0, -1)[:, cols], work[stack.size :])
+            if k <= 2:
+                values = _batch_values(trial_last_grams(entries[:, cols]), kernel, local, spec.m) if events else None
+                top = pair_max(entries, kernel, k, spec.m, work[stack.size :], table) if cap is not None else None
             else:
-                # one expression, so the sampled stack is freed once its Gram is built
-                grams = gram_stack(sample_batch(spec, start, stop)[:, :, cols])
-            top = _max_values(grams, kernel, k, spec.m) if cap is not None else None
-            values = _batch_values(grams, kernel, local, spec.m) if events else None
+                grams = gram_stack(np.moveaxis(entries[:, cols], -1, 0), work[stack.size :])
+                top = _max_values(grams, kernel, k, spec.m) if cap is not None else None
+                values = _batch_values(grams, kernel, local, spec.m) if events else None
         stats = [top] if cap is not None else []
         stats += [values[:, list(event)].min(axis=1) for event in events]
         return np.stack([len(v) - np.searchsorted(np.sort(v), grid, side="right") for v in stats])
 
-    return grid, _accumulate_counts(trials, threads, 8 * trial_words(table), chunk_counts, arena)
+    return grid, _accumulate_counts(trials, threads, 8 * trial_words(table), chunk_counts, not packed)
 
 
 def mc_marginal_tail(

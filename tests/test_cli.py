@@ -229,6 +229,62 @@ def test_pair_paths_pinned_bytes(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of Bernoulli fig-extreme CSVs at seed 7, taken while every
+# Bernoulli eigen chunk still built a float lattice Gram outside the arena:
+# k <= 2 on both sides at m = 1, n = 2, one and two sign words a column and
+# two threads, now read from packed signs, and k >= 3, now drawn into the
+# arena (k = 3 at 100 x 150 is one tall, wide chunk)
+_PINNED_BERNOULLI_CSVS = [
+    pytest.param("sigma_max_sq", 7, 10, 1, 2000, 1, 240,
+                 "3753fb2568f0b199e7e94d2aa93ea995edf0d04a84bd487de2fda40772eb83e4", id="max-7x10-k1"),
+    pytest.param("sigma_max_sq", 1, 6, 1, 500, 1, 240,
+                 "3753fb2568f0b199e7e94d2aa93ea995edf0d04a84bd487de2fda40772eb83e4", id="max-1x6-k1"),
+    pytest.param("sigma_max_sq", 4, 2, 1, 500, 1, 240,
+                 "3753fb2568f0b199e7e94d2aa93ea995edf0d04a84bd487de2fda40772eb83e4", id="max-4x2-k1"),
+    pytest.param("sigma_max_sq", 65, 30, 1, 1100, 2, 240,
+                 "3753fb2568f0b199e7e94d2aa93ea995edf0d04a84bd487de2fda40772eb83e4", id="max-65x30-k1-threads2"),
+    pytest.param("sigma_max_sq", 7, 10, 2, 2000, 1, 240,
+                 "61a69080b4fcfd61208893be287906867ac8b4d70aed6fed4b0c673eeeddbdae", id="max-7x10-k2"),
+    pytest.param("sigma_max_sq", 1, 6, 2, 500, 1, 240,
+                 "fe4bcbcd32dd1253c473a4340340e2cc5b4c5ffb71dd528fb2cc9dbedc21491f", id="max-1x6-k2"),
+    pytest.param("sigma_max_sq", 4, 2, 2, 500, 1, 240,
+                 "2a0bda353b413584d4fd84aa65151cecc94e01e2b21d43261464554beb712ad9", id="max-4x2-k2"),
+    pytest.param("sigma_max_sq", 65, 30, 2, 1100, 2, 240,
+                 "be87cdc6d972c6de6228ba1765acc3fba38edb389865b81cc113484b76070333", id="max-65x30-k2-threads2"),
+    pytest.param("sigma_max_sq", 10, 20, 4, 128, 1, 60,
+                 "ffc0900dc3a345239bf33e316ebaaba7b8091ef25446fbd25d4ceb55703afb9b", id="max-10x20-k4"),
+    pytest.param("sigma_max_sq", 100, 150, 3, 8, 1, 60,
+                 "88a5220ed4472f30f69cd6356e5edea9f0ed1fec52b94d2248c8e6f58645f142", id="max-100x150-k3"),
+    pytest.param("neg_sigma_min_sq", 7, 10, 1, 2000, 1, 240,
+                 "81dc13c1f2ee3514bf06b6c8fa73b70a7f9eede5a878270ed4e3ca786bc71eed", id="min-7x10-k1"),
+    pytest.param("neg_sigma_min_sq", 1, 6, 1, 500, 1, 240,
+                 "81dc13c1f2ee3514bf06b6c8fa73b70a7f9eede5a878270ed4e3ca786bc71eed", id="min-1x6-k1"),
+    pytest.param("neg_sigma_min_sq", 4, 2, 1, 500, 1, 240,
+                 "81dc13c1f2ee3514bf06b6c8fa73b70a7f9eede5a878270ed4e3ca786bc71eed", id="min-4x2-k1"),
+    pytest.param("neg_sigma_min_sq", 65, 30, 1, 1100, 2, 240,
+                 "81dc13c1f2ee3514bf06b6c8fa73b70a7f9eede5a878270ed4e3ca786bc71eed", id="min-65x30-k1-threads2"),
+    pytest.param("neg_sigma_min_sq", 7, 10, 2, 2000, 1, 240,
+                 "9bc8827b568339f6653ad880f36f0a262318de766ee0be2edaf77d54637a05dc", id="min-7x10-k2"),
+    pytest.param("neg_sigma_min_sq", 1, 6, 2, 500, 1, 240,
+                 "0dfb98971d70b8f901132750f20d6b37f0509a68cdf7b13ee58d6f536f8d8081", id="min-1x6-k2"),
+    pytest.param("neg_sigma_min_sq", 4, 2, 2, 500, 1, 240,
+                 "48edcea3805d617a1da43368da587b30421bc206254d71922b0827e005bcf133", id="min-4x2-k2"),
+    pytest.param("neg_sigma_min_sq", 65, 30, 2, 1100, 2, 240,
+                 "0bd2636dfaab536ded896922ed4d7e4b1ae7b1d8eec68a6f612d75a28802aca5", id="min-65x30-k2-threads2"),
+    pytest.param("neg_sigma_min_sq", 10, 20, 4, 128, 1, 60,
+                 "0f5813ce11a067f2426fe61c46119939f678da753411295908a696c0d688fb93", id="min-10x20-k4"),
+]
+
+
+@pytest.mark.parametrize("kernel, m, n, k, trials, threads, steps, digest", _PINNED_BERNOULLI_CSVS)
+def test_fig_extreme_bernoulli_pinned_bytes(tmp_path, kernel, m, n, k, trials, threads, steps, digest):
+    out = tmp_path / "pinned.csv"
+    args = ["--kernel", kernel, "--m", m, "--n", n, "--k", k, "--trials", trials, "--threads", threads]
+    args = ["fig-extreme", "--ensemble", "bernoulli", *map(str, args), "--a-steps", str(steps), "--seed", "7"]
+    assert _run([*args, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_fig_extreme_threads_byte_equal_with_a_short_last_chunk(tmp_path):
     # 5,001 trials leave a short last chunk at every thread count
     args = ["fig-extreme", "--m", "5", "--n", "10", "--k", "2", "--trials", "5001", "--seed", "7"]

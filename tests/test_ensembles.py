@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,22 @@ def test_packed_signs_do_not_depend_on_the_word_tile(monkeypatch):
     assert np.array_equal(sample_batch(spec, 0, 512, packed=True), whole)
     monkeypatch.setattr(ensembles, "_WORD_TILE_BYTES", 100 * 50 * 100 * 8)  # 100-trial tiles
     assert np.array_equal(sample_batch(spec, 0, 512, packed=True), whole)
+
+
+def test_packed_word_tiles_hold_the_sampler_state(monkeypatch):
+    # 5 x 10 trials take 150 words of Philox state each, not m n = 50, so a
+    # tile sized by m n held three times its budget of state
+    spec = EnsembleSpec("bernoulli", 5, 10, base_seed=7)
+    whole = sample_batch(spec, 0, 20_000, packed=True)
+    monkeypatch.setattr(ensembles, "_WORD_TILE_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        tiled = sample_batch(spec, 0, 20_000, packed=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(tiled, whole)
+    assert peak < whole.nbytes + 1.5 * 2**20
 
 
 def test_packed_signs_refuse_gaussian_specs():

@@ -7,7 +7,7 @@ import pytest
 
 from uniontight import kernels
 from uniontight.bounds import gershgorin_ric
-from uniontight.ensembles import EnsembleSpec, sample_batch
+from uniontight.ensembles import EnsembleSpec, entry_scale, sample_batch
 from uniontight.kernels import (
     COHERENCE,
     NEG_SIGMA_MIN_SQ,
@@ -16,13 +16,12 @@ from uniontight.kernels import (
     KernelId,
     coherence_kernel,
     gram_extremes,
-    gram_mutual_coherence,
     gram_pair_max,
     gram_stack,
     indicator,
     kernel_value,
-    packed_coherence,
-    packed_mutual_coherence,
+    packed_pair_max,
+    packed_pair_values,
     pair_max,
     pair_values,
     pair_words,
@@ -103,7 +102,7 @@ def test_coherence_kernel_errors():
     with pytest.raises(ValueError, match="degenerate"):
         coherence_kernel(np.column_stack([np.zeros(3), np.ones(3)]))
     with pytest.raises(ValueError, match="degenerate"):
-        gram_mutual_coherence(gram_stack(np.column_stack([np.ones(3), np.zeros(3), np.ones(3)])[None]))
+        gram_pair_max(gram_stack(np.column_stack([np.ones(3), np.zeros(3), np.ones(3)])[None]), COHERENCE, 2)
 
 
 def test_pair_values_keeps_the_coherence_messages():
@@ -134,7 +133,7 @@ def _pair_max(grams):
 )
 def test_mutual_coherence_equals_pair_max_bitwise(ensemble, m, n, trials):
     grams = gram_stack(sample_batch(EnsembleSpec(ensemble, m, n, base_seed=50), 0, trials))
-    assert gram_mutual_coherence(grams).tobytes() == _pair_max(grams).tobytes()
+    assert gram_pair_max(grams, COHERENCE, 2).tobytes() == _pair_max(grams).tobytes()
 
 
 def test_mutual_coherence_clips_duplicated_and_negated_columns():
@@ -144,7 +143,7 @@ def test_mutual_coherence_clips_duplicated_and_negated_columns():
     diag = np.diagonal(grams, axis1=1, axis2=2)
     raw = np.abs(grams[:, 0, 4]) / np.sqrt(diag[:, 0] * diag[:, 4])
     assert np.any(raw > 1.0)  # the clip is what keeps these at 1
-    top = gram_mutual_coherence(grams)
+    top = gram_pair_max(grams, COHERENCE, 2)
     assert top.tobytes() == _pair_max(grams).tobytes()
     np.testing.assert_array_equal(top, 1.0)
 
@@ -155,7 +154,7 @@ def test_mutual_coherence_divides_unless_every_diagonal_entry_is_one():
     assert np.all(np.diagonal(bernoulli, axis1=1, axis2=2) == 1.0)
     assert not np.any(np.diagonal(gaussian, axis1=1, axis2=2) == 1.0)
     for mixed in (np.concatenate([bernoulli, gaussian]), np.concatenate([gaussian, bernoulli])):
-        assert gram_mutual_coherence(mixed).tobytes() == _pair_max(mixed).tobytes()
+        assert gram_pair_max(mixed, COHERENCE, 2).tobytes() == _pair_max(mixed).tobytes()
 
 
 # m on both sides of each 64-bit word boundary; n = 2 has a single pair
@@ -165,9 +164,39 @@ def test_packed_mutual_coherence_equals_the_float_gram_max_bitwise(m, n):
     spec = EnsembleSpec("bernoulli", m, n, base_seed=53)
     words = sample_batch(spec, 0, 24, packed=True)
     grams = gram_stack(sample_batch(spec, 0, 24))
-    assert packed_mutual_coherence(words, m).tobytes() == gram_mutual_coherence(grams).tobytes()
+    assert packed_pair_max(words, COHERENCE, 2, m).tobytes() == gram_pair_max(grams, COHERENCE, 2).tobytes()
     pairs = np.array(list(combinations(range(n), 2)))
-    assert packed_coherence(words, m, pairs).tobytes() == pair_values(grams, COHERENCE, pairs).tobytes()
+    assert packed_pair_values(words, COHERENCE, pairs, m).tobytes() == pair_values(grams, COHERENCE, pairs).tobytes()
+
+
+def _lattice_block_values(grams, kernel, subs, m):
+    """Kernel values of subsets from their gathered k x k blocks of lattice Grams, as the fixed subsets read them."""
+    return spectral_value(kernel, *gram_extremes(grams[:, subs[:, :, None], subs[:, None, :]], rows=m))
+
+
+# m on both sides of each 64-bit word boundary, m = 1 with sigma2_min at 0;
+# each stack gains a copy and a negation of its first column, so the max
+# |J| = m is reached at d = 0 and at d = m
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 65, 129])
+@pytest.mark.parametrize("n", [2, 30])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kernel", [RIC, SIGMA_MAX_SQ, NEG_SIGMA_MIN_SQ], ids=lambda kern: kern.variant)
+def test_packed_pair_values_equal_the_lattice_gram_bitwise(kernel, k, n, m):
+    spec = EnsembleSpec("bernoulli", m, n, base_seed=59)
+    words = sample_batch(spec, 0, 24, packed=True)
+    mats = sample_batch(spec, 0, 24)
+    full = np.array([2**64 - 1] * (m // 64) + [2 ** (m % 64) - 1] * (m % 64 > 0), dtype=np.uint64)
+    for extra_words, extra in ((words[:, :0], mats[:, :, :0]), (words[:, :1], mats[:, :, :1]),
+                               (words[:, :1] ^ full, -mats[:, :, :1])):
+        stack = np.concatenate([mats, extra], axis=2)
+        packed = np.concatenate([words, extra_words], axis=1)
+        grams = gram_stack(stack)
+        assert packed_pair_max(packed, kernel, k, m).tobytes() == gram_pair_max(grams, kernel, k, m).tobytes()
+        subs = np.array(list(combinations(range(stack.shape[2]), k)))
+        values = packed_pair_values(packed, kernel, subs, m)
+        assert values.tobytes() == _lattice_block_values(grams, kernel, subs, m).tobytes()
+        if k == 2:
+            assert values.tobytes() == pair_values(grams, kernel, subs, m).tobytes()
 
 
 def test_packed_mutual_coherence_reaches_both_ends_of_the_lattice():
@@ -176,13 +205,13 @@ def test_packed_mutual_coherence_reaches_both_ends_of_the_lattice():
     full = np.array([2**64 - 1, 2**6 - 1], dtype=np.uint64)  # the 70 sign bits
     copied = np.concatenate([words, words[:, :1]], axis=1)
     flipped = np.concatenate([words, words[:, :1] ^ full], axis=1)
-    np.testing.assert_array_equal(packed_mutual_coherence(copied, 70), 1.0)
-    np.testing.assert_array_equal(packed_mutual_coherence(flipped, 70), 1.0)
-    assert np.all(packed_mutual_coherence(words, 70) < 1.0)
+    np.testing.assert_array_equal(packed_pair_max(copied, COHERENCE, 2, 70), 1.0)
+    np.testing.assert_array_equal(packed_pair_max(flipped, COHERENCE, 2, 70), 1.0)
+    assert np.all(packed_pair_max(words, COHERENCE, 2, 70) < 1.0)
     with pytest.raises(ValueError, match="two columns"):
-        packed_mutual_coherence(words[:, :1], 70)
+        packed_pair_max(words[:, :1], COHERENCE, 2, 70)
     with pytest.raises(ValueError, match="k = 2"):
-        packed_coherence(words, 70, np.array([[0, 1, 2]]))
+        packed_pair_values(words, COHERENCE, np.array([[0, 1, 2]]), 70)
 
 
 @pytest.mark.parametrize("ensemble", ["bernoulli", "gaussian"])  # lattice and row-order sums
@@ -204,6 +233,28 @@ def test_trial_last_grams_sum_in_row_order_with_and_without_out(m, n, trials):
         assert np.moveaxis(grams, 0, -1).flags.c_contiguous
         assert np.ascontiguousarray(grams).tobytes() == want.tobytes()
     assert np.shares_memory(grams, out) and np.all(np.isnan(out[words:]))
+
+
+@pytest.mark.parametrize("m, n, trials", [(1, 3, 5), (7, 12, 40), (65, 10, 9)])
+def test_gram_stack_reads_the_lattice_only_when_every_entry_is_on_it(m, n, trials):
+    mats = sample_batch(EnsembleSpec("bernoulli", m, n, base_seed=68), 0, trials)
+    signs = np.rint(mats * math.sqrt(m))
+    want = (np.swapaxes(signs, 1, 2) @ signs) / m  # integer sums, exact in any order
+    arena = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+    out = np.full(trials * n * (n + 1) + 5, np.nan)
+    for grams in (gram_stack(mats), gram_stack(np.moveaxis(arena, -1, 0), out)):
+        assert np.moveaxis(grams, 0, -1).flags.c_contiguous
+        assert np.ascontiguousarray(grams).tobytes() == want.tobytes()
+    # with out the signs are taken in place, over the entries
+    assert np.shares_memory(grams, out) and np.array_equal(arena, np.moveaxis(signs, 0, -1))
+    # one entry off the lattice, or a Gaussian stack that starts on it, takes the row-order sums
+    off = mats.copy()
+    off.flat[-1] *= 0.5
+    gaussian = sample_batch(EnsembleSpec("gaussian", m, n, base_seed=68), 0, trials)
+    gaussian.flat[0] = entry_scale(m)
+    for stack in (off, gaussian):
+        sums = trial_last_grams(np.moveaxis(stack, 0, -1))
+        assert np.ascontiguousarray(gram_stack(stack)).tobytes() == np.ascontiguousarray(sums).tobytes()
 
 
 def test_non_finite_entries_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import time
@@ -16,7 +17,7 @@ from uniontight.kernels import (
     SIGMA_MAX_SQ,
     coherence_kernel,
     gram_extremes,
-    gram_mutual_coherence,
+    gram_pair_max,
     gram_stack,
     kernel_value,
     pair_extremes,
@@ -988,19 +989,103 @@ def test_threaded_fold_memory_does_not_grow_with_chunks(chunk_plan):
     assert peak < 2**18
 
 
-def test_gaussian_eigen_chunks_read_one_arena_table(monkeypatch, drawn_spans):
+def _arena_grams(monkeypatch):
+    """A list of one flag per ``ustat.gram_stack`` call: True when its stack and its Grams are in its worker's arena."""
+    in_arena = []
+
+    def spying(mats, out=None):
+        grams = gram_stack(mats, out)
+        in_arena.append(out is not None and np.shares_memory(mats, out.base) and np.shares_memory(grams, out))
+        return grams
+
+    monkeypatch.setattr(ustat, "gram_stack", spying)
+    return in_arena
+
+
+def _check_arena_chunks(monkeypatch, drawn_spans, ensemble):
     # 700 trials of 10 x 40 at k = 3 are several chunks; each is drawn into
-    # its worker's arena and its Grams summed there, with no (B, m, n) stack
-    # and no gram_stack
-    monkeypatch.setattr(ustat, "gram_stack", _refuse)
-    spec = EnsembleSpec("gaussian", 10, 40, base_seed=7)
+    # its worker's arena and its Grams built there, with no (B, m, n) stack
+    in_arena = _arena_grams(monkeypatch)
+    spec = EnsembleSpec(ensemble, 10, 40, base_seed=7)
     grid = np.linspace(0.0, 2.0, 41)
     runs = []
     for threads in (1, 2, 3):
         drawn_spans.clear()
+        in_arena.clear()
         runs.append(_points(extreme_experiment(spec, RIC, 3, grid, trials=700, threads=threads)))
-        assert len(drawn_spans) >= 2
+        assert len(drawn_spans) >= 2 and in_arena == [True] * len(drawn_spans)
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_gaussian_eigen_chunks_read_one_arena_table(monkeypatch, drawn_spans):
+    _check_arena_chunks(monkeypatch, drawn_spans, "gaussian")
+
+
+def test_bernoulli_eigen_chunks_read_one_arena_table(monkeypatch, drawn_spans):
+    # the lattice Grams, from the signs taken in place over the arena's entries
+    _check_arena_chunks(monkeypatch, drawn_spans, "bernoulli")
+
+
+# SHA-256 of the ric record arrays of Bernoulli extreme_experiment runs at
+# seed 7 (the CLI has no ric kernel), taken on the shapes and trial counts
+# of the Bernoulli fig-extreme pins in tests/test_cli.py, while every
+# Bernoulli eigen chunk still built a float lattice Gram outside the arena
+_PINNED_BERNOULLI_RIC = [
+    pytest.param(7, 10, 1, 2000, 1, "160cf6f9c29919faffd67a7df8c44ec01c8e92233f9d4deb4f4c9b5c3bcd3547", id="7x10-k1"),
+    pytest.param(1, 6, 1, 500, 1, "a538eed59e4ca900847e69027829fae58e658e7e7d17dd9e73e78c6cedaf7aa6", id="1x6-k1"),
+    pytest.param(4, 2, 1, 500, 1, "a538eed59e4ca900847e69027829fae58e658e7e7d17dd9e73e78c6cedaf7aa6", id="4x2-k1"),
+    pytest.param(65, 30, 1, 1100, 2, "66be6b4240ad108ce5e15cc50e19df8ebf9098523e1d99c3455b11d0a8b9427c", id="65x30-k1-threads2"),
+    pytest.param(7, 10, 2, 2000, 1, "fe3a0534ff5f9f5a4e3a273342f4b3129ca0f742f737a32f0d251f67eb4aab0d", id="7x10-k2"),
+    pytest.param(1, 6, 2, 500, 1, "107b58970e1e5350c0fd1da0b13f124ba24f539e3e267f85f7ea3f64f1578b8a", id="1x6-k2"),
+    pytest.param(4, 2, 2, 500, 1, "03965337aaf9503ac42328968668f73194c4cbfd241ce91fde95a4c0647a40eb", id="4x2-k2"),
+    pytest.param(65, 30, 2, 1100, 2, "31ad001d3a4ee94f22e0ea511fb354f0255a737eb4eaa4374af5bcec6bf3826e", id="65x30-k2-threads2"),
+    pytest.param(10, 20, 4, 128, 1, "e7d2d953c5010b7e6c9db6909b6352639f04f7e856c49502ef09bbfe226242cc", id="10x20-k4"),
+    pytest.param(100, 150, 3, 8, 1, "c4ee454669757a1065486a56192e430b792459c5953f70268ca1c4f15891d2bb", id="100x150-k3"),
+]
+
+
+@pytest.mark.parametrize("m, n, k, trials, threads, digest", _PINNED_BERNOULLI_RIC)
+def test_bernoulli_ric_records_pinned_bytes(m, n, k, trials, threads, digest):
+    spec = EnsembleSpec("bernoulli", m, n, base_seed=7)
+    run = extreme_experiment(spec, RIC, k, np.linspace(0.0, 1.0, 241), trials, threads=threads)
+    records = [run.extreme, run.marginal, *(run.joint[i] for i in sorted(run.joint))]
+    assert hashlib.sha256(b"".join(r.tobytes() for r in records)).hexdigest() == digest
+
+
+def test_bernoulli_pair_chunks_read_packed_signs(monkeypatch, chunk_plan):
+    # every Bernoulli chunk at k <= 2, for every kernel, is one packed draw,
+    # with no Gram of any kind
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ustat, "sample_batch", recording)
+    for name in ("gram_stack", "trial_last_grams", "pair_max", "gram_extremes"):
+        monkeypatch.setattr(ustat, name, _refuse)
+    spec = EnsembleSpec("bernoulli", 7, 10, base_seed=58)
+    for kernel in EIGEN_KERNELS:
+        for k in (1, 2):
+            calls.clear()
+            chunk_plan(spec, kernel, k, 300, threads=1)
+            extreme_experiment(spec, kernel, k, [-0.5, 0.5, 1.5], trials=1_000)
+            mc_marginal_tail(spec, kernel, k, [0.5], trials=1_000)
+            assert calls == [{"packed": True}] * 2 * math.ceil(1_000 / 300)
+
+
+def test_tall_bernoulli_eigen_chunk_memory_is_the_arena():
+    # 40 trials of 2000 x 12 at k = 3 are four 13-trial chunks of a 2.4 MiB
+    # arena; drawn outside it, each chunk's raw words, float steps, signs and
+    # their transposed copy peaked at 7.2 MiB
+    spec = EnsembleSpec("bernoulli", 2000, 12, base_seed=7)
+    tracemalloc.start()
+    try:
+        extreme_experiment(spec, RIC, 3, np.linspace(0.0, 2.0, 41), trials=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 def test_gaussian_eigen_chunk_memory_holds_one_gram_table():
@@ -1097,7 +1182,7 @@ def test_bernoulli_coherence_estimators_match_the_float_gram():
 
     pairs = pair_values(grams, COHERENCE, np.array([(0, 1), (1, 2), (9, 4)]))
     run = extreme_experiment(spec, COHERENCE, 2, grid, trials=600)
-    assert [e.point for e in run.extreme] == tail(gram_mutual_coherence(grams)[:, None])
+    assert [e.point for e in run.extreme] == tail(gram_pair_max(grams, COHERENCE, 2)[:, None])
     assert [e.point for e in run.marginal] == tail(pairs[:, :1])
     assert [e.point for e in run.joint[1]] == tail(pairs[:, :2])
     assert [e.point for e in mc_joint_tail(spec, COHERENCE, 2, 1, grid, trials=600)] == tail(pairs[:, :2])
